@@ -186,7 +186,7 @@ fn bench_handoff_cost(c: &mut Criterion) {
 /// shards) at 1, 2 and 4 shards. On a multi-core box the sharded rungs
 /// should pull ahead of serial from a few hundred actors up — this is the
 /// scaling-cliff group; `figures bench` records the same ladder to
-/// `BENCH_engine.json` with per-shard event counts.
+/// `BENCH_history.jsonl` with per-shard event counts.
 fn bench_sharded_ladder(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel/sharded_ladder");
     g.sample_size(10);

@@ -1,11 +1,11 @@
 //! Continuous benchmark history: the versioned `BENCH_history.jsonl`
-//! store, the trend-aware regression detector and the report renderers
-//! behind `bench_check record|trend|report`.
+//! store — the only record of engine-ladder runs — the trend-aware
+//! regression detector and the report renderers behind
+//! `bench_check trend|report`.
 //!
 //! The paper reports point-in-time numbers; its own conclusion — cloud
 //! storage performance drifts and must be re-measured — is the argument
-//! for *continuous* benchmarking. This module turns the single-snapshot
-//! `bench_check` gate into a history pipeline:
+//! for *continuous* benchmarking: one append-only row per rung per run.
 //!
 //! * **Rows** ([`HistoryRow`], schema [`HISTORY_SCHEMA`]): one JSON line
 //!   per engine-ladder rung per run, carrying full provenance (timestamp,
@@ -20,10 +20,6 @@
 //!   gates while a clean 30 % step does.
 //! * **Report** ([`render_markdown`], [`render_html`]): self-contained
 //!   artifacts with sparkline trend tables per backend/shard section.
-//! * **Agreement** ([`check_snapshot_agreement`]): `BENCH_engine.json`
-//!   (the snapshot, overwritten every run) and `BENCH_history.jsonl`
-//!   (append-only) must tell the same story about the latest run; a
-//!   disagreement is an error, never a silent snapshot win.
 //!
 //! Everything is plain-text JSONL with hand-rolled serialization (the
 //! offline serde shim's `Value` for parsing), so the history file stays
@@ -32,11 +28,13 @@
 use serde::ser::write_escaped;
 use serde::value::{find, parse, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 
 /// Schema identifier carried by every v1 history row.
 pub const HISTORY_SCHEMA: &str = "azurebench-bench-history/v1";
 
-/// The backend assumed for rows that predate the multi-backend export.
+/// The backend label of the engine ladder: its `NullModel` never touches a
+/// storage backend, so `figures bench` records every run under this one.
 pub const DEFAULT_BACKEND: &str = "was";
 
 /// One engine-ladder rung of one bench run: a single JSONL line.
@@ -153,81 +151,29 @@ fn parse_v1_row(m: &[(String, Value)]) -> Result<HistoryRow, String> {
     })
 }
 
-/// Expand one legacy (pre-v1) run line — a nested `engine` array with
-/// run-level provenance — into one row per rung.
-fn parse_legacy_line(m: &[(String, Value)]) -> Result<Vec<HistoryRow>, String> {
-    let unix_ts = get_u64(m, "unix_ts").ok_or("legacy line missing \"unix_ts\"")?;
-    let scale = get_f64(m, "scale").unwrap_or(1.0);
-    let seed = get_u64(m, "seed").unwrap_or(0);
-    let cores = get_u64(m, "cores").unwrap_or(1);
-    let run_backend = get_str(m, "backend", DEFAULT_BACKEND);
-    let engine = find(m, "engine")
-        .and_then(|v| v.as_array())
-        .ok_or("legacy line missing \"engine\" array")?;
-    engine
-        .iter()
-        .map(|row| {
-            let rm = row
-                .as_object()
-                .ok_or("legacy engine row is not an object")?;
-            Ok(HistoryRow {
-                unix_ts,
-                host: "unknown".to_owned(),
-                commit: "unknown".to_owned(),
-                backend: get_str(rm, "backend", &run_backend),
-                scale,
-                seed,
-                actors: get_u64(rm, "actors").ok_or("legacy engine row missing \"actors\"")?,
-                shards: get_u64(rm, "shards").unwrap_or(1),
-                cores: get_u64(rm, "cores").unwrap_or(cores),
-                simulated_ops: get_u64(rm, "simulated_ops").unwrap_or(0),
-                wall_seconds: get_f64(rm, "wall_seconds").unwrap_or(0.0),
-                ops_per_second: get_f64(rm, "ops_per_second")
-                    .ok_or("legacy engine row missing \"ops_per_second\"")?,
-                per_shard_events: find(rm, "per_shard_events")
-                    .and_then(|v| v.as_array())
-                    .map(|a| a.iter().filter_map(num_f64).map(|v| v as u64).collect())
-                    .unwrap_or_default(),
-            })
-        })
-        .collect()
-}
-
-fn parse_line(line: &str) -> Result<Vec<HistoryRow>, String> {
+fn parse_line(line: &str) -> Result<HistoryRow, String> {
     let doc = parse(line.as_bytes()).map_err(|e| format!("invalid JSON: {e}"))?;
     let m = doc.as_object().ok_or("line is not a JSON object")?;
     match find(m, "schema").and_then(|v| v.as_str()) {
-        Some(HISTORY_SCHEMA) => Ok(vec![parse_v1_row(m)?]),
+        Some(HISTORY_SCHEMA) => parse_v1_row(m),
         Some(other) => Err(format!(
             "unknown history schema {other:?} (expected {HISTORY_SCHEMA:?})"
         )),
-        // No schema tag: a legacy pre-v1 run line.
-        None => parse_legacy_line(m),
+        None => Err(format!("no \"schema\" tag (expected {HISTORY_SCHEMA:?})")),
     }
 }
 
-/// Parse a whole history file (v1 rows and legacy run lines mix freely);
-/// errors name the offending line.
+/// Parse a whole history file, one v1 row per non-blank line; errors name
+/// the offending line.
 pub fn parse_history(text: &str) -> Result<Vec<HistoryRow>, String> {
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        rows.extend(parse_line(line).map_err(|e| format!("BENCH_history line {}: {e}", i + 1))?);
+        rows.push(parse_line(line).map_err(|e| format!("BENCH_history line {}: {e}", i + 1))?);
     }
     Ok(rows)
-}
-
-/// Parse a history file and report how many of its lines were legacy
-/// (pre-v1) run lines — the migration count.
-pub fn migrate(text: &str) -> Result<(Vec<HistoryRow>, usize), String> {
-    let rows = parse_history(text)?;
-    let legacy = text
-        .lines()
-        .filter(|l| !l.trim().is_empty() && !l.contains(HISTORY_SCHEMA))
-        .count();
-    Ok((rows, legacy))
 }
 
 /// The run timestamp of the newest row in a history file's text, if any.
@@ -235,8 +181,8 @@ pub fn tail_unix_ts(text: &str) -> Result<Option<u64>, String> {
     let Some(last) = text.lines().rev().find(|l| !l.trim().is_empty()) else {
         return Ok(None);
     };
-    let rows = parse_line(last).map_err(|e| format!("BENCH_history tail line: {e}"))?;
-    Ok(rows.iter().map(|r| r.unix_ts).max())
+    let row = parse_line(last).map_err(|e| format!("BENCH_history tail line: {e}"))?;
+    Ok(Some(row.unix_ts))
 }
 
 /// Append rows to a history file, refusing rows older than the file's
@@ -271,253 +217,60 @@ pub fn append_rows(path: &str, rows: &[HistoryRow]) -> Result<(), String> {
         .map_err(|e| format!("cannot append {path}: {e}"))
 }
 
+/// The first of `vars` set to a non-blank value, trimmed.
+fn first_env(vars: &[&str]) -> Option<String> {
+    vars.iter()
+        .filter_map(|var| std::env::var(var).ok())
+        .map(|v| v.trim().to_owned())
+        .find(|v| !v.is_empty())
+}
+
 /// The host identity recorded in history rows: `AZBENCH_HOST`, then
 /// `HOSTNAME`, then `/etc/hostname`, then `unknown`.
 pub fn detect_host() -> String {
-    for var in ["AZBENCH_HOST", "HOSTNAME"] {
-        if let Ok(v) = std::env::var(var) {
-            let v = v.trim().to_owned();
-            if !v.is_empty() {
-                return v;
-            }
-        }
-    }
-    if let Ok(v) = std::fs::read_to_string("/etc/hostname") {
-        let v = v.trim().to_owned();
-        if !v.is_empty() {
-            return v;
-        }
-    }
-    "unknown".to_owned()
+    first_env(&["AZBENCH_HOST", "HOSTNAME"])
+        .or_else(|| std::fs::read_to_string("/etc/hostname").ok())
+        .map(|v| v.trim().to_owned())
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// The commit identity recorded in history rows: `AZBENCH_COMMIT`, then
-/// `GITHUB_SHA`, then `GIT_COMMIT`, then `unknown`. No `git` subprocess —
-/// benches must not depend on a repository checkout.
+/// `GITHUB_SHA`, then `GIT_COMMIT`, then the `HEAD` of the repository
+/// containing the working directory, then `unknown`. No `git` subprocess —
+/// benches must not depend on a git installation.
 pub fn detect_commit() -> String {
-    for var in ["AZBENCH_COMMIT", "GITHUB_SHA", "GIT_COMMIT"] {
-        if let Ok(v) = std::env::var(var) {
-            let v = v.trim().to_owned();
-            if !v.is_empty() {
-                return v;
-            }
-        }
+    first_env(&["AZBENCH_COMMIT", "GITHUB_SHA", "GIT_COMMIT"])
+        .or_else(|| git_head_commit(&std::env::current_dir().ok()?))
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The commit `HEAD` names in the repository whose `.git` directory is in
+/// `start` or the nearest ancestor that has one, read from the files git
+/// keeps: `HEAD` itself when detached, else the ref's loose file, else its
+/// `packed-refs` entry.
+fn git_head_commit(start: &Path) -> Option<String> {
+    let sha = |s: &str| {
+        let s = s.trim();
+        (!s.is_empty() && s.bytes().all(|b| b.is_ascii_hexdigit())).then(|| s.to_owned())
+    };
+    let git = start
+        .ancestors()
+        .map(|dir| dir.join(".git"))
+        .find(|git| git.is_dir())?;
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let Some(name) = head.trim().strip_prefix("ref: ") else {
+        return sha(&head);
+    };
+    if let Ok(loose) = std::fs::read_to_string(git.join(name)) {
+        return sha(&loose);
     }
-    "unknown".to_owned()
-}
-
-/// Convert a full `BENCH_engine.json` snapshot into v1 history rows with
-/// the given provenance — the `bench_check record` path for snapshots
-/// produced without a history append.
-pub fn snapshot_history_rows(
-    doc: &Value,
-    host: &str,
-    commit: &str,
-    unix_ts: u64,
-) -> Result<Vec<HistoryRow>, String> {
-    let top = doc.as_object().ok_or("snapshot is not a JSON object")?;
-    let config = find(top, "config").and_then(|v| v.as_object());
-    let cfg_f64 = |key: &str| config.and_then(|m| get_f64(m, key));
-    let scale = cfg_f64("scale").unwrap_or(1.0);
-    let seed = cfg_f64("seed").unwrap_or(0.0) as u64;
-    let cfg_cores = cfg_f64("cores").map(|v| v as u64);
-    let engine = find(top, "engine")
-        .and_then(|v| v.as_array())
-        .ok_or("snapshot has no `engine` array")?;
-    engine
-        .iter()
-        .map(|row| {
-            let m = row.as_object().ok_or("engine row is not an object")?;
-            Ok(HistoryRow {
-                unix_ts,
-                host: host.to_owned(),
-                commit: commit.to_owned(),
-                backend: get_str(m, "backend", DEFAULT_BACKEND),
-                scale,
-                seed,
-                actors: get_u64(m, "actors").ok_or("engine row missing \"actors\"")?,
-                shards: get_u64(m, "shards").unwrap_or(1),
-                cores: get_u64(m, "cores").or(cfg_cores).unwrap_or(1),
-                simulated_ops: get_u64(m, "simulated_ops").unwrap_or(0),
-                wall_seconds: get_f64(m, "wall_seconds").unwrap_or(0.0),
-                ops_per_second: get_f64(m, "ops_per_second")
-                    .ok_or("engine row missing \"ops_per_second\"")?,
-                per_shard_events: find(m, "per_shard_events")
-                    .and_then(|v| v.as_array())
-                    .map(|a| a.iter().filter_map(num_f64).map(|v| v as u64).collect())
-                    .unwrap_or_default(),
-            })
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot comparison (the legacy two-snapshot gate) and agreement check.
-// ---------------------------------------------------------------------------
-
-/// One `engine` row from a `BENCH_engine.json` snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineRow {
-    /// Storage backend the bench ran against (`was` when the row predates
-    /// the multi-backend export and has no such key).
-    pub backend: String,
-    /// Actor count of the rung.
-    pub actors: u64,
-    /// Executor shard count (`1` when the row predates the sharded
-    /// executor and has no such key).
-    pub shards: u64,
-    /// Measured throughput.
-    pub ops_per_second: f64,
-}
-
-/// Extract the `engine` rows of a parsed `BENCH_engine.json`, defaulting
-/// provenance keys absent from pre-sharding / pre-multi-backend exports.
-pub fn engine_rows(doc: &Value) -> Option<Vec<EngineRow>> {
-    let rows = doc
-        .as_object()
-        .and_then(|m| find(m, "engine"))
-        .and_then(|v| v.as_array())?;
-    Some(
-        rows.iter()
-            .filter_map(|row| {
-                let m = row.as_object()?;
-                Some(EngineRow {
-                    backend: get_str(m, "backend", DEFAULT_BACKEND),
-                    actors: get_u64(m, "actors")?,
-                    shards: get_u64(m, "shards").unwrap_or(1),
-                    ops_per_second: get_f64(m, "ops_per_second")?,
-                })
-            })
-            .collect(),
-    )
-}
-
-/// The two-snapshot comparison behind the legacy CLI form: returns the
-/// per-row report lines and the failure count.
-pub fn check(
-    baseline: &[EngineRow],
-    candidate: &[EngineRow],
-    max_regression: f64,
-) -> (Vec<String>, usize) {
-    let mut lines = Vec::new();
-    let mut failures = 0usize;
-
-    for b in baseline {
-        let Some(c) = candidate
-            .iter()
-            .find(|c| c.backend == b.backend && c.actors == b.actors && c.shards == b.shards)
-        else {
-            lines.push(format!(
-                "bench_check: candidate missing row for [{}] {} actors x {} shard(s)",
-                b.backend, b.actors, b.shards
-            ));
-            failures += 1;
-            continue;
-        };
-        let floor = b.ops_per_second * (1.0 - max_regression);
-        let delta = (c.ops_per_second - b.ops_per_second) / b.ops_per_second * 100.0;
-        let verdict = if c.ops_per_second < floor {
-            failures += 1;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        lines.push(format!(
-            "bench_check: [{}] {:>6} actors x {} shard(s): baseline {:>12.0} ops/s, candidate {:>12.0} ops/s ({delta:+.1}%) {verdict}",
-            b.backend, b.actors, b.shards, b.ops_per_second, c.ops_per_second
-        ));
-    }
-
-    // New actor counts on a known (backend, shards) combination are
-    // ladder growth and pass freely; an unknown combination means the
-    // candidate measured a configuration the baseline has never seen,
-    // which must not silently count as "no regression".
-    let known: BTreeSet<(&str, u64)> = baseline
-        .iter()
-        .map(|b| (b.backend.as_str(), b.shards))
-        .collect();
-    for c in candidate {
-        if !known.contains(&(c.backend.as_str(), c.shards)) {
-            lines.push(format!(
-                "bench_check: candidate row [{}] {} actors x {} shard(s) names a \
-                 backend/shards combination absent from the baseline — re-baseline \
-                 or fix the bench configuration",
-                c.backend, c.actors, c.shards
-            ));
-            failures += 1;
-        }
-    }
-
-    (lines, failures)
-}
-
-/// Verify that a `BENCH_engine.json` snapshot and a history agree on the
-/// latest run: for every backend the snapshot covers, the history's most
-/// recent run for that backend must contain exactly the snapshot's rungs
-/// with matching throughput. A mismatch means the snapshot was
-/// regenerated without appending history (or vice versa) — an error, not
-/// a silent snapshot win.
-pub fn check_snapshot_agreement(
-    snapshot: &[EngineRow],
-    history: &[HistoryRow],
-) -> Result<(), String> {
-    let backends: BTreeSet<&str> = snapshot.iter().map(|r| r.backend.as_str()).collect();
-    for backend in backends {
-        let latest_ts = history
-            .iter()
-            .filter(|h| h.backend == backend)
-            .map(|h| h.unix_ts)
-            .max()
-            .ok_or_else(|| {
-                format!(
-                    "BENCH_engine.json has [{backend}] rows but BENCH_history.jsonl has \
-                     no run for that backend — record the run into the history"
-                )
-            })?;
-        let latest: BTreeMap<(u64, u64), f64> = history
-            .iter()
-            .filter(|h| h.backend == backend && h.unix_ts == latest_ts)
-            .map(|h| ((h.actors, h.shards), h.ops_per_second))
-            .collect();
-        let snap: BTreeMap<(u64, u64), f64> = snapshot
-            .iter()
-            .filter(|r| r.backend == backend)
-            .map(|r| ((r.actors, r.shards), r.ops_per_second))
-            .collect();
-        for (&(actors, shards), &ops) in &snap {
-            match latest.get(&(actors, shards)) {
-                None => {
-                    return Err(format!(
-                        "BENCH_engine.json and BENCH_history.jsonl disagree on the latest \
-                         [{backend}] run: snapshot has rung {actors} actors x {shards} \
-                         shard(s) but the history's latest run (unix_ts {latest_ts}) does \
-                         not — re-run `figures bench` (snapshot + history append together) \
-                         or `bench_check record` the snapshot"
-                    ));
-                }
-                Some(&h) if (h - ops).abs() > 1e-6 * ops.abs().max(1.0) => {
-                    return Err(format!(
-                        "BENCH_engine.json and BENCH_history.jsonl disagree on the latest \
-                         [{backend}] run: rung {actors} actors x {shards} shard(s) is \
-                         {ops:.1} ops/s in the snapshot but {h:.1} ops/s in the history's \
-                         latest run (unix_ts {latest_ts}) — the snapshot was regenerated \
-                         without recording history"
-                    ));
-                }
-                Some(_) => {}
-            }
-        }
-        for &(actors, shards) in latest.keys() {
-            if !snap.contains_key(&(actors, shards)) {
-                return Err(format!(
-                    "BENCH_engine.json and BENCH_history.jsonl disagree on the latest \
-                     [{backend}] run: the history's latest run (unix_ts {latest_ts}) has \
-                     rung {actors} actors x {shards} shard(s) but the snapshot does not"
-                ));
-            }
-        }
-    }
-    Ok(())
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .find(|&(_, packed_name)| packed_name == name)
+        .and_then(|(id, _)| sha(id))
 }
 
 // ---------------------------------------------------------------------------
@@ -1088,51 +841,48 @@ mod tests {
     }
 
     #[test]
-    fn legacy_run_line_expands_to_one_row_per_rung() {
-        let legacy = r#"{"unix_ts": 500, "scale": 0.1, "seed": 2012, "shards": 4, "cores": 1, "engine": [{ "actors": 1, "shards": 1, "cores": 1, "simulated_ops": 50000, "wall_seconds": 0.004, "ops_per_second": 12500000.0, "per_shard_events": [100000] }, { "actors": 8, "shards": 4, "cores": 1, "simulated_ops": 400000, "wall_seconds": 0.03, "ops_per_second": 13333333.3, "per_shard_events": [200000, 200000, 200000, 200000] }]}"#;
-        let (rows, legacy_lines) = migrate(legacy).unwrap();
-        assert_eq!(legacy_lines, 1);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].unix_ts, 500);
-        assert_eq!(rows[0].backend, "was");
-        assert_eq!(rows[0].host, "unknown");
-        assert_eq!(rows[1].actors, 8);
-        assert_eq!(rows[1].shards, 4);
-        assert_eq!(rows[1].per_shard_events.len(), 4);
-        // Migrated rows are v1 rows: parsing their lines yields them back.
-        let text: String = rows.iter().map(|r| r.to_line() + "\n").collect();
-        let (again, legacy_again) = migrate(&text).unwrap();
-        assert_eq!(again, rows);
-        assert_eq!(legacy_again, 0);
-    }
-
-    #[test]
-    fn snapshot_rows_carry_config_provenance() {
-        let doc = parse(
-            br#"{"engine": [
-                   { "backend": "was", "actors": 8, "shards": 4, "cores": 1,
-                     "simulated_ops": 400, "wall_seconds": 0.02,
-                     "ops_per_second": 20000.0, "per_shard_events": [200, 200, 200, 200] }
-                 ],
-                 "config": {"scale": 0.1, "seed": 2012, "shards": 4, "cores": 1}}"#,
-        )
-        .unwrap();
-        let rows = snapshot_history_rows(&doc, "h1", "c0ffee", 42).unwrap();
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        assert_eq!(
-            (r.unix_ts, r.host.as_str(), r.commit.as_str()),
-            (42, "h1", "c0ffee")
-        );
-        assert_eq!((r.scale, r.seed, r.actors, r.shards), (0.1, 2012, 8, 4));
-        assert_eq!(r.per_shard_events, vec![200, 200, 200, 200]);
-    }
-
-    #[test]
     fn unknown_schema_tag_is_an_error() {
         let line = r#"{"schema": "azurebench-bench-history/v9", "unix_ts": 1}"#;
         let err = parse_history(line).unwrap_err();
         assert!(err.contains("unknown history schema"), "{err}");
+        // No tag at all (the retired pre-v1 run-line shape): an error
+        // naming the line, never a defaulted row.
+        let line = r#"{"unix_ts":5,"engine":[{"actors":1,"ops_per_second":9}]}"#;
+        let err = parse_history(&format!("\n{line}\n")).unwrap_err();
+        assert!(err.contains("line 2: no \"schema\" tag"), "{err}");
+    }
+
+    #[test]
+    fn commit_is_read_from_the_git_files() {
+        let root = std::env::temp_dir().join(format!("azb-git-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (git, nested) = (root.join(".git"), root.join("crates/core"));
+        std::fs::create_dir_all(&nested).unwrap();
+        assert_eq!(git_head_commit(&nested), None, "no repository");
+
+        let id = |c: char| c.to_string().repeat(40);
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        std::fs::write(git.join("HEAD"), format!("{}\n", id('a'))).unwrap();
+        assert_eq!(git_head_commit(&nested), Some(id('a')), "detached HEAD");
+
+        std::fs::write(git.join("HEAD"), "ref: refs/heads/main\n").unwrap();
+        std::fs::write(
+            git.join("packed-refs"),
+            format!(
+                "# pack-refs with: peeled fully-peeled sorted\n{} refs/heads/other\n{} refs/heads/main\n",
+                id('c'),
+                id('d')
+            ),
+        )
+        .unwrap();
+        assert_eq!(git_head_commit(&nested), Some(id('d')), "packed ref");
+
+        std::fs::write(git.join("refs/heads/main"), format!("{}\n", id('b'))).unwrap();
+        assert_eq!(git_head_commit(&root), Some(id('b')), "loose ref wins");
+
+        std::fs::write(git.join("refs/heads/main"), "not a commit id\n").unwrap();
+        assert_eq!(git_head_commit(&root), None, "garbage is not a commit");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1236,50 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_history_agreement_is_checked_per_backend() {
-        let snap = vec![
-            EngineRow {
-                backend: "was".into(),
-                actors: 32,
-                shards: 1,
-                ops_per_second: 1000.0,
-            },
-            EngineRow {
-                backend: "was".into(),
-                actors: 128,
-                shards: 1,
-                ops_per_second: 900.0,
-            },
-        ];
-        let hist = vec![
-            row(100, "was", 32, 1, 800.0), // older run: may disagree freely
-            row(200, "was", 32, 1, 1000.0),
-            row(200, "was", 128, 1, 900.0),
-        ];
-        check_snapshot_agreement(&snap, &hist).unwrap();
-
-        // Snapshot regenerated without recording: value differs.
-        let mut stale = hist.clone();
-        stale[1].ops_per_second = 2000.0;
-        let err = check_snapshot_agreement(&snap, &stale).unwrap_err();
-        assert!(err.contains("disagree on the latest"), "{err}");
-
-        // Snapshot has a rung the history's latest run lacks.
-        let err = check_snapshot_agreement(&snap, &hist[..2]).unwrap_err();
-        assert!(err.contains("does not"), "{err}");
-
-        // History has no run for the snapshot's backend at all.
-        let s3 = vec![EngineRow {
-            backend: "s3".into(),
-            actors: 32,
-            shards: 1,
-            ops_per_second: 1.0,
-        }];
-        let err = check_snapshot_agreement(&s3, &hist).unwrap_err();
-        assert!(err.contains("no run for that backend"), "{err}");
-    }
-
-    #[test]
     fn report_renders_markdown_and_html() {
         let vals = [1000.0, 1005.0, 995.0, 1000.0, 650.0];
         let rows = series_rows(&vals);
@@ -1308,100 +1014,5 @@ mod tests {
     fn iso_utc_formats_known_instants() {
         assert_eq!(iso_utc(0), "1970-01-01 00:00:00Z");
         assert_eq!(iso_utc(1_786_110_026), "2026-08-07 13:40:26Z");
-    }
-
-    // ---- the legacy two-snapshot gate (moved from the bench_check bin) ----
-
-    fn erow(backend: &str, actors: u64, shards: u64, ops: f64) -> EngineRow {
-        EngineRow {
-            backend: backend.to_owned(),
-            actors,
-            shards,
-            ops_per_second: ops,
-        }
-    }
-
-    #[test]
-    fn rows_without_backend_or_shards_default_to_the_reference() {
-        let doc = parse(
-            br#"{"engine": [
-                {"actors": 100, "ops_per_second": 5000.0},
-                {"backend": "s3", "actors": 100, "shards": 4, "ops_per_second": 4000.0}
-            ]}"#,
-        )
-        .unwrap();
-        let rows = engine_rows(&doc).unwrap();
-        assert_eq!(rows[0], erow(DEFAULT_BACKEND, 100, 1, 5000.0));
-        assert_eq!(rows[1], erow("s3", 100, 4, 4000.0));
-    }
-
-    #[test]
-    fn matching_rows_within_tolerance_pass() {
-        let (lines, failures) = check(
-            &[erow("was", 100, 1, 1000.0)],
-            &[erow("was", 100, 1, 800.0)],
-            0.25,
-        );
-        assert_eq!(failures, 0, "{lines:?}");
-    }
-
-    #[test]
-    fn regression_beyond_tolerance_fails() {
-        let (lines, failures) = check(
-            &[erow("was", 100, 1, 1000.0)],
-            &[erow("was", 100, 1, 700.0)],
-            0.25,
-        );
-        assert_eq!(failures, 1);
-        assert!(lines.iter().any(|l| l.contains("REGRESSION")), "{lines:?}");
-    }
-
-    #[test]
-    fn missing_candidate_row_fails() {
-        let base = [erow("was", 100, 1, 1000.0), erow("was", 200, 1, 1500.0)];
-        let (_, failures) = check(&base, &[erow("was", 100, 1, 1000.0)], 0.25);
-        assert_eq!(failures, 1);
-    }
-
-    #[test]
-    fn ladder_growth_on_a_known_combination_passes_freely() {
-        let base = [erow("was", 100, 1, 1000.0)];
-        let cand = [erow("was", 100, 1, 1000.0), erow("was", 400, 1, 2000.0)];
-        let (lines, failures) = check(&base, &cand, 0.25);
-        assert_eq!(failures, 0, "{lines:?}");
-    }
-
-    #[test]
-    fn unknown_backend_combination_is_an_error_not_a_silent_pass() {
-        let base = [erow("was", 100, 1, 1000.0)];
-        let cand = [erow("was", 100, 1, 1000.0), erow("gcs", 100, 1, 900.0)];
-        let (lines, failures) = check(&base, &cand, 0.25);
-        assert_eq!(failures, 1);
-        assert!(
-            lines.iter().any(|l| l.contains("absent from the baseline")),
-            "{lines:?}"
-        );
-    }
-
-    #[test]
-    fn unknown_shard_combination_is_an_error_too() {
-        let base = [erow("was", 100, 1, 1000.0), erow("was", 100, 2, 1800.0)];
-        let cand = [
-            erow("was", 100, 1, 1000.0),
-            erow("was", 100, 2, 1800.0),
-            erow("was", 100, 8, 4000.0),
-        ];
-        let (_, failures) = check(&base, &cand, 0.25);
-        assert_eq!(failures, 1);
-    }
-
-    #[test]
-    fn backend_names_are_matched_case_insensitively_at_parse_time() {
-        // `figures bench` serializes the serde-derived variant name
-        // (`"Was"`); the hand-written history/config lines use lowercase.
-        // Parsing folds both onto the lowercase profile name.
-        let doc = parse(br#"{"engine": [{"backend": "Was", "actors": 1, "ops_per_second": 1.0}]}"#)
-            .unwrap();
-        assert_eq!(engine_rows(&doc).unwrap()[0].backend, "was");
     }
 }

@@ -1,66 +1,52 @@
-//! Guard against engine-throughput regressions — snapshot compare, and
-//! the trend-aware continuous-benchmarking front end of
-//! [`azurebench::benchhist`].
+//! Gate on engine-throughput trends and render the trend report — the
+//! front end of [`azurebench::benchhist`].
 //!
 //! ```text
-//! bench_check <baseline.json> <candidate.json> [max_regression]
-//! bench_check record  <BENCH_engine.json> <BENCH_history.jsonl> [--host H] [--commit C] [--ts N]
-//! bench_check trend   <BENCH_history.jsonl> [--snapshot BENCH_engine.json]
-//!                     [--window K] [--tolerance T] [--mad-gate G] [--min-history N]
-//! bench_check report  <BENCH_history.jsonl> [--out DIR] [--window K] [--tolerance T]
-//! bench_check migrate <BENCH_history.jsonl>
+//! bench_check trend  <BENCH_history.jsonl> [--window K] [--tolerance T] [--mad-gate G]
+//!                    [--min-history N]
+//! bench_check report <BENCH_history.jsonl> [--out DIR] [--window K] [--tolerance T]
 //! ```
 //!
-//! The positional form is the original fixed-tolerance gate: for every
-//! `(backend, actors, shards)` triple in the baseline, the candidate's
-//! `ops_per_second` must stay above `baseline * (1 - max_regression)`
-//! (default 0.25). New actor counts on a known `(backend, shards)`
-//! combination pass freely; an unknown combination is an error. When a
-//! `BENCH_history.jsonl` sits next to either snapshot, the snapshot must
-//! also agree with the history's latest run — a snapshot regenerated
-//! without recording history is an error, never a silent win.
+//! Both read the append-only v1 history (`azurebench-bench-history/v1`,
+//! one JSON line per rung per run) that `figures bench` appends to; any
+//! other line in it is an error naming the line.
 //!
-//! The subcommands operate on the append-only v1 history
-//! (`azurebench-bench-history/v1`, one JSON line per rung per run):
-//!
-//! * `record` converts a `BENCH_engine.json` into v1 rows (host/commit
-//!   provenance from `AZBENCH_HOST`/`HOSTNAME` and
-//!   `AZBENCH_COMMIT`/`GITHUB_SHA` unless overridden) and appends them,
-//!   refusing runs older than the history tail.
 //! * `trend` fits a robust per-series baseline (median + MAD over the
 //!   last `--window` runs of each `(backend, actors, shards)` key) and
 //!   gates only when the newest run drops beyond **both** the relative
 //!   tolerance and the series' own noise band — a clean 30 % step gates,
 //!   a noisy-but-flat series does not. Exit 1 on a gated regression.
 //! * `report` renders the self-contained markdown + HTML trend report.
-//! * `migrate` rewrites a history file (legacy single-line run records
-//!   and/or v1 rows) as pure v1 rows.
 //!
-//! Wall-clock figures vary with machine load, so only the engine
-//! micro-benchmark — not the figure-suite timings — gates.
+//! Bad input or usage is exit 2.
 
 use azurebench::benchhist::{
-    analyze, append_rows, check, check_snapshot_agreement, detect_commit, detect_host, engine_rows,
-    migrate, parse_history, render_html, render_markdown, snapshot_history_rows, EngineRow,
-    HistoryRow, TrendConfig,
+    analyze, parse_history, render_html, render_markdown, HistoryRow, TrendConfig,
 };
-use serde::value::{parse, Value};
-use std::path::Path;
+
+const USAGE: &str = "usage: bench_check trend <BENCH_history.jsonl> [--window K] [--tolerance T] \
+                     [--mad-gate G] [--min-history N]\n\
+                     \u{20}      bench_check report <BENCH_history.jsonl> [--out DIR] [--window K] \
+                     [--tolerance T] [--mad-gate G] [--min-history N]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
-fn load(path: &str) -> Value {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    parse(&bytes).unwrap_or_else(|e| fail(&format!("{path} is not valid JSON: {e}")))
-}
-
-fn load_history(path: &str) -> Vec<HistoryRow> {
+/// The history named by the one positional argument left after the flags.
+fn load_history(args: &[String]) -> Vec<HistoryRow> {
+    let [path] = args else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    parse_history(&text).unwrap_or_else(|e| fail(&e))
+    let rows = parse_history(&text).unwrap_or_else(|e| fail(&e));
+    if rows.is_empty() {
+        fail(&format!("{path} has no history rows"));
+    }
+    rows
 }
 
 /// Pull `--flag value` out of an argument list, in place.
@@ -95,111 +81,9 @@ fn trend_config(args: &mut Vec<String>) -> TrendConfig {
     cfg
 }
 
-fn expect_args(args: &[String], want: usize, usage: &str) {
-    if args.len() != want {
-        eprintln!("usage: bench_check {usage}");
-        std::process::exit(2);
-    }
-}
-
-/// If a `BENCH_history.jsonl` sits next to `snapshot_path`, verify the
-/// snapshot agrees with the history's latest run.
-fn check_sibling_history(snapshot_path: &str, rows: &[EngineRow]) {
-    let sibling = Path::new(snapshot_path)
-        .parent()
-        .unwrap_or_else(|| Path::new("."))
-        .join("BENCH_history.jsonl");
-    let Ok(text) = std::fs::read_to_string(&sibling) else {
-        return;
-    };
-    let history = parse_history(&text).unwrap_or_else(|e| fail(&e));
-    if let Err(e) = check_snapshot_agreement(rows, &history) {
-        fail(&format!("{} vs {}: {e}", snapshot_path, sibling.display()));
-    }
-}
-
-fn cmd_compare(args: &[String]) {
-    let max_regression: f64 = args
-        .get(2)
-        .map(|s| parse_num(s, "max_regression"))
-        .unwrap_or(0.25);
-
-    let baseline = engine_rows(&load(&args[0]))
-        .unwrap_or_else(|| fail(&format!("{} has no `engine` array", args[0])));
-    let candidate = engine_rows(&load(&args[1]))
-        .unwrap_or_else(|| fail(&format!("{} has no `engine` array", args[1])));
-    if baseline.is_empty() {
-        fail(&format!("{} has no engine rows", args[0]));
-    }
-    check_sibling_history(&args[0], &baseline);
-    check_sibling_history(&args[1], &candidate);
-
-    let (lines, failures) = check(&baseline, &candidate, max_regression);
-    for line in &lines {
-        println!("{line}");
-    }
-
-    if failures > 0 {
-        eprintln!(
-            "bench_check: {failures} failure(s) beyond {:.0}% tolerance",
-            max_regression * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "bench_check: OK ({} ladder rung(s) within {:.0}% of baseline)",
-        baseline.len(),
-        max_regression * 100.0
-    );
-}
-
-fn cmd_record(mut args: Vec<String>) {
-    let host = take_flag(&mut args, "--host").unwrap_or_else(detect_host);
-    let commit = take_flag(&mut args, "--commit").unwrap_or_else(detect_commit);
-    let ts: u64 = take_flag(&mut args, "--ts")
-        .map(|v| parse_num(&v, "--ts"))
-        .unwrap_or_else(|| {
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0)
-        });
-    expect_args(
-        &args,
-        2,
-        "record <BENCH_engine.json> <BENCH_history.jsonl> [--host H] [--commit C] [--ts N]",
-    );
-    let rows = snapshot_history_rows(&load(&args[0]), &host, &commit, ts)
-        .unwrap_or_else(|e| fail(&format!("{}: {e}", args[0])));
-    append_rows(&args[1], &rows).unwrap_or_else(|e| fail(&e));
-    println!(
-        "bench_check: recorded {} rung(s) at unix_ts {ts} (host {host}, commit {commit}) into {}",
-        rows.len(),
-        args[1]
-    );
-}
-
 fn cmd_trend(mut args: Vec<String>) {
     let cfg = trend_config(&mut args);
-    let snapshot = take_flag(&mut args, "--snapshot");
-    expect_args(
-        &args,
-        1,
-        "trend <BENCH_history.jsonl> [--snapshot BENCH_engine.json] [--window K] \
-         [--tolerance T] [--mad-gate G] [--min-history N]",
-    );
-    let history = load_history(&args[0]);
-    if history.is_empty() {
-        fail(&format!("{} has no history rows", args[0]));
-    }
-    if let Some(snap_path) = snapshot {
-        let rows = engine_rows(&load(&snap_path))
-            .unwrap_or_else(|| fail(&format!("{snap_path} has no `engine` array")));
-        if let Err(e) = check_snapshot_agreement(&rows, &history) {
-            fail(&format!("{snap_path} vs {}: {e}", args[0]));
-        }
-    }
-
+    let history = load_history(&args);
     let report = analyze(&history, &cfg);
     for k in report.keys.iter().filter(|k| k.in_latest_run) {
         println!("{}", k.line());
@@ -226,15 +110,7 @@ fn cmd_trend(mut args: Vec<String>) {
 fn cmd_report(mut args: Vec<String>) {
     let cfg = trend_config(&mut args);
     let out_dir = take_flag(&mut args, "--out").unwrap_or_else(|| "results".to_owned());
-    expect_args(
-        &args,
-        1,
-        "report <BENCH_history.jsonl> [--out DIR] [--window K] [--tolerance T]",
-    );
-    let history = load_history(&args[0]);
-    if history.is_empty() {
-        fail(&format!("{} has no history rows", args[0]));
-    }
+    let history = load_history(&args);
     let report = analyze(&history, &cfg);
     std::fs::create_dir_all(&out_dir)
         .unwrap_or_else(|e| fail(&format!("cannot create {out_dir}: {e}")));
@@ -251,49 +127,14 @@ fn cmd_report(mut args: Vec<String>) {
     );
 }
 
-fn cmd_migrate(args: Vec<String>) {
-    expect_args(&args, 1, "migrate <BENCH_history.jsonl>");
-    let text = std::fs::read_to_string(&args[0])
-        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", args[0])));
-    let (rows, legacy) = migrate(&text).unwrap_or_else(|e| fail(&e));
-    if legacy == 0 {
-        println!(
-            "bench_check: {} already v1 ({} row(s)), nothing to migrate",
-            args[0],
-            rows.len()
-        );
-        return;
-    }
-    let mut out = String::new();
-    for r in &rows {
-        out.push_str(&r.to_line());
-        out.push('\n');
-    }
-    std::fs::write(&args[0], out)
-        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", args[0])));
-    println!(
-        "bench_check: migrated {legacy} legacy run line(s) into {} v1 row(s) in {}",
-        rows.len(),
-        args[0]
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("record") => cmd_record(args[1..].to_vec()),
         Some("trend") => cmd_trend(args[1..].to_vec()),
         Some("report") => cmd_report(args[1..].to_vec()),
-        Some("migrate") => cmd_migrate(args[1..].to_vec()),
         _ => {
-            if args.len() < 2 || args.len() > 3 {
-                eprintln!(
-                    "usage: bench_check <baseline.json> <candidate.json> [max_regression]\n\
-                     \u{20}      bench_check record|trend|report|migrate ... (see --help in docs)"
-                );
-                std::process::exit(2);
-            }
-            cmd_compare(&args);
+            eprintln!("{USAGE}");
+            std::process::exit(2);
         }
     }
 }

@@ -1,69 +1,109 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [table1|fig4|fig5|fig6|fig7|fig8|fig9|latency|profile|timeline|
-//!          bottleneck|chaos|fleet|verify|bench|all]...
-//!         [--scale S] [--workers 1,2,4,...] [--seed N] [--csv DIR]
-//!         [--threads N] [--shards N] [--timeline] [--verify-seeds N]
-//!         [--naive] [--expect-violation]
+//! figures TARGET... [--scale S] [--workers 1,2,4,...] [--seed N] [--csv DIR]
+//!         [--threads N] [--shards N] [--backend was,s3,gcs,file|all]
+//!         [--ladder quick|full] [--timeline] [--extrapolate]
+//!         [--verify-seeds N] [--naive] [--expect-violation]
 //! ```
 //!
-//! The `verify` target (opt-in, not part of `all`) runs the resilience
-//! chaos search: `--verify-seeds N` randomized fault plans plus boundary
-//! schedules, each checked against the correctness invariants in
-//! [`azurebench::verify`]. `--naive` swaps the hardened idempotent client
-//! for a blind-retry one (expected to be caught); `--expect-violation`
-//! inverts the exit code for that use. On violation the shrunk plan is
-//! written as `repro-<policy>.json`.
+//! The targets are the rows of [`TARGETS`] plus `all`; with no target the
+//! usage text generated from that table is printed. An unknown target or
+//! flag, or an output that cannot be written, is an error (exit 2) —
+//! never a silent success.
 //!
-//! `--timeline` enables virtual-time gauge sampling for every target (the
-//! figures stay bit-identical — sampling is passive; combine with `bench`
-//! to measure the sampling overhead).
-//!
-//! With no target, prints usage. `--scale 1.0` (default) reproduces the
-//! paper's workload volumes; smaller scales shrink them proportionally.
+//! `--scale 1.0` (default) reproduces the paper's workload volumes;
+//! smaller scales shrink them proportionally.
 //! `--csv DIR` additionally writes one CSV per figure into `DIR`.
 //! `--threads N` caps the sweep engine's point-level parallelism (`0`,
 //! the default, uses every core; `1` forces the serial schedule — the
-//! emitted figures are identical either way). The `profile` target runs
-//! the mixed workload with phase tracing and writes `profile.json`,
-//! `profile.prom` and `profile.otlp.json` (into the `--csv` directory if
-//! given, else `results/`). The `timeline` target runs the mixed workload
-//! under a fault plan with virtual-time gauge sampling enabled and writes
-//! `timeline.json`, `timeline.csv`, a Perfetto-loadable `trace.json`, and
-//! `metrics.prom`/`metrics.otlp.json` — the Prometheus, OTLP and Chrome
-//! trace exports all render the same end-of-run snapshot. The `bottleneck`
-//! target sweeps the attribution scenarios over the worker ladder and
-//! writes `bottlenecks.json` plus a `bottlenecks.md` summary table.
+//! emitted figures are identical either way).
 //! `--shards N` runs every simulation on the sharded executor with `N`
 //! shards — the emitted figures are bit-identical to the serial run (the
 //! sharded executor reproduces the serial event history exactly); only
-//! wall-clock time changes. The `fleet` target (opt-in, not part of
-//! `all`) sweeps the multi-tenant fleet scenario — the partition-parallel
-//! workload where sharding gives real speedup — over the tenant ladder.
-//! The `bench` target runs the engine micro-benchmark ladder (serial
-//! always; sharded rungs too when `--shards` > 1, climbing through a
-//! 100 000-actor rung to a 1 000 000-actor smoke rung that runs
-//! *windowed* under adaptive lookahead) plus a timed pass over the
-//! figure suite, writes `BENCH_engine.json`, and appends one
-//! `azurebench-bench-history/v1` row per rung to `BENCH_history.jsonl`
-//! (host/commit/backend provenance, stale-timestamp appends refused) so
-//! engine throughput is tracked over time — `bench_check trend` gates on
-//! deviation from that history. `--ladder quick` restricts the climb to
-//! the two cheapest rungs (same rung keys as the full ladder, so history
-//! series stay comparable) — CI uses it to build per-backend trend
-//! history without paying for the full climb.
+//! wall-clock time changes.
+//! `--backend` runs the per-backend targets once per listed backend; `was`
+//! keeps the unsuffixed output names (the committed goldens) and peers
+//! suffix every artifact with `-{backend}`.
+//! `--timeline` enables virtual-time gauge sampling for every target (the
+//! figures stay bit-identical — sampling is passive).
+//!
+//! The `profile` target runs the mixed workload with phase tracing and
+//! writes `profile.json`, `profile.prom` and `profile.otlp.json` (into the
+//! `--csv` directory if given, else `results/`). The `timeline` target
+//! runs the mixed workload under a fault plan with virtual-time gauge
+//! sampling enabled and writes `timeline.json`, `timeline.csv`, a
+//! Perfetto-loadable `trace.json`, and `metrics.prom`/`metrics.otlp.json`
+//! — the Prometheus, OTLP and Chrome trace exports all render the same
+//! end-of-run snapshot. The `bottleneck` target sweeps the attribution
+//! scenarios over the worker ladder and writes `bottlenecks.json` plus a
+//! `bottlenecks.md` summary table. The `fleet` target (opt-in) sweeps the
+//! multi-tenant fleet scenario — the partition-parallel workload where
+//! sharding gives real speedup — over the tenant ladder. The opt-in
+//! `verify` and `bench` targets are described at [`run_verify`] and
+//! [`run_bench`].
 
 use azsim_fabric::BackendKind;
 use azurebench::{
     alg1_blob, alg3_queue, alg4_queue, alg5_table, benchhist, chaos, fig9, verify, BenchConfig,
     Figure,
 };
-use std::io::Write;
+use std::cell::OnceCell;
 use std::time::Instant;
 
+/// One thing `figures` can be asked for.
+struct Target {
+    name: &'static str,
+    /// Part of `all`; the rest are opt-in — this reproduction's own
+    /// scenario, a verdict and a timing, not paper figures.
+    in_all: bool,
+    /// Runs once per `--backend`; the rest never touch a storage backend
+    /// and run once per invocation.
+    per_backend: bool,
+    run: fn(&Ctx) -> Result<(), String>,
+}
+
+/// Every target, in the order a run executes them. Argument validation,
+/// the usage text, the `all` expansion and the run loop all read this
+/// table and nothing else.
+#[rustfmt::skip]
+const TARGETS: &[Target] = &[
+    Target { name: "table1",     in_all: true,  per_backend: false, run: run_table1 },
+    Target { name: "fig4",       in_all: true,  per_backend: true,  run: run_fig4 },
+    Target { name: "fig5",       in_all: true,  per_backend: true,  run: run_fig5 },
+    Target { name: "fig6",       in_all: true,  per_backend: true,  run: run_fig6 },
+    Target { name: "fig7",       in_all: true,  per_backend: true,  run: run_fig7 },
+    Target { name: "fig8",       in_all: true,  per_backend: true,  run: run_fig8 },
+    Target { name: "latency",    in_all: true,  per_backend: true,  run: run_latency },
+    Target { name: "fig9",       in_all: true,  per_backend: true,  run: run_fig9 },
+    Target { name: "profile",    in_all: true,  per_backend: true,  run: run_profile },
+    Target { name: "timeline",   in_all: true,  per_backend: true,  run: run_timeline },
+    Target { name: "bottleneck", in_all: true,  per_backend: true,  run: run_bottleneck },
+    Target { name: "chaos",      in_all: true,  per_backend: true,  run: run_chaos },
+    Target { name: "fleet",      in_all: false, per_backend: true,  run: run_fleet },
+    Target { name: "verify",     in_all: false, per_backend: true,  run: run_verify },
+    Target { name: "bench",      in_all: false, per_backend: false, run: run_bench },
+];
+
+fn names(targets: impl Iterator<Item = &'static Target>) -> Vec<&'static str> {
+    targets.map(|t| t.name).collect()
+}
+
+fn usage() -> String {
+    format!(
+        "usage: figures [{}|all]... \
+         [--scale S] [--workers 1,2,...] [--seed N] [--csv DIR] [--threads N] [--shards N] \
+         [--backend was,s3,gcs,file|all] [--ladder quick|full] \
+         [--timeline] [--extrapolate] [--verify-seeds N] [--naive] [--expect-violation]\n\
+         \u{20}      (`all` leaves out the opt-in targets: {})",
+        names(TARGETS.iter()).join("|"),
+        names(TARGETS.iter().filter(|t| !t.in_all)).join(", ")
+    )
+}
+
 struct Args {
-    targets: Vec<String>,
+    /// The requested rows of [`TARGETS`], `all` expanded, in table order.
+    targets: Vec<&'static Target>,
     scale: f64,
     workers: Option<Vec<usize>>,
     seed: Option<u64>,
@@ -96,6 +136,7 @@ fn parse_args() -> Result<Args, String> {
         expect_violation: false,
         quick_ladder: false,
     };
+    let mut requested: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -128,22 +169,21 @@ fn parse_args() -> Result<Args, String> {
             }
             "--backend" => {
                 let v = it.next().ok_or("--backend needs a value")?;
-                let mut kinds = Vec::new();
+                args.backends.clear();
                 for tok in v.split(',') {
-                    if tok == "all" {
-                        kinds.extend(BackendKind::ALL);
-                    } else {
-                        kinds.push(
-                            BackendKind::parse(tok)
-                                .ok_or_else(|| format!("unknown backend {tok:?}"))?,
-                        );
+                    let kinds = match tok {
+                        "all" => BackendKind::ALL.to_vec(),
+                        _ => vec![BackendKind::parse(tok)
+                            .ok_or_else(|| format!("unknown backend {tok:?}"))?],
+                    };
+                    // First mention wins: a repeat would only overwrite
+                    // that backend's artifacts with identical bytes.
+                    for kind in kinds {
+                        if !args.backends.contains(&kind) {
+                            args.backends.push(kind);
+                        }
                     }
                 }
-                if kinds.is_empty() {
-                    return Err("--backend needs at least one backend".into());
-                }
-                kinds.dedup();
-                args.backends = kinds;
             }
             "--timeline" => args.timeline = true,
             "--extrapolate" => args.extrapolate = true,
@@ -161,45 +201,89 @@ fn parse_args() -> Result<Args, String> {
                     _ => return Err(format!("bad ladder {v:?} (expected quick or full)")),
                 };
             }
-            t if !t.starts_with('-') => args.targets.push(t.to_owned()),
+            t if !t.starts_with('-') => requested.push(t.to_owned()),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    if let Some(bad) = requested
+        .iter()
+        .find(|r| *r != "all" && TARGETS.iter().all(|t| t.name != *r))
+    {
+        return Err(format!(
+            "unknown target {bad:?} (expected one of {}, all)",
+            names(TARGETS.iter()).join(", ")
+        ));
+    }
+    let all = requested.iter().any(|r| r == "all");
+    args.targets = TARGETS
+        .iter()
+        .filter(|t| (all && t.in_all) || requested.iter().any(|r| r == t.name))
+        .collect();
     Ok(args)
 }
 
-/// Write one CSV per figure, suffixing the file name with the backend
-/// (`sfx` is empty for `was`, so the 15 Azure goldens keep their names).
-fn emit(figures: &[Figure], csv_dir: &Option<String>, sfx: &str) {
-    for f in figures {
-        println!("{}", f.render_table());
-        if let Some(dir) = csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
-            let path = format!("{dir}/{}{sfx}.csv", f.id);
-            let mut file = std::fs::File::create(&path).expect("create csv");
-            file.write_all(f.to_csv().as_bytes()).expect("write csv");
-            eprintln!("wrote {path}");
+/// What a target runs against: the invocation's arguments and the config
+/// of the backend pass it belongs to.
+struct Ctx<'a> {
+    args: &'a Args,
+    cfg: BenchConfig,
+    /// Artifact-name suffix: empty for `was`, so the 15 Azure goldens keep
+    /// their names; `-{backend}` for the peers.
+    sfx: String,
+    /// The Algorithm 1 sweep as (fig4, fig5) panels: `fig4` and `fig5`
+    /// share it, so asking for both sweeps once.
+    alg1: OnceCell<(Vec<Figure>, Vec<Figure>)>,
+}
+
+impl Ctx<'_> {
+    /// Write `{dir}/{stem}{sfx}.{ext}`, where `dir` is `--csv` or, without
+    /// it, `results/`. The one place a target's artifact reaches disk.
+    fn write(&self, stem: &str, ext: &str, body: &str) -> Result<(), String> {
+        let dir = self.args.csv_dir.as_deref().unwrap_or("results");
+        let path = format!("{dir}/{stem}{}.{ext}", self.sfx);
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, body))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("wrote {path}");
+        Ok(())
+    }
+
+    /// Print each figure's table and, given `--csv`, write its CSV.
+    fn emit(&self, figures: &[Figure]) -> Result<(), String> {
+        for f in figures {
+            println!("{}", f.render_table());
+            if self.args.csv_dir.is_some() {
+                self.write(&f.id, "csv", &f.to_csv())?;
+            }
         }
+        Ok(())
+    }
+
+    fn alg1(&self) -> &(Vec<Figure>, Vec<Figure>) {
+        self.alg1.get_or_init(|| {
+            alg1_blob::figures_4_and_5(&self.cfg)
+                .into_iter()
+                .partition(|f| f.id.starts_with("fig4"))
+        })
     }
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if args.targets.is_empty() {
-        eprintln!(
-            "usage: figures [table1|fig4|fig5|fig6|fig7|fig8|fig9|latency|profile|timeline|\
-             bottleneck|chaos|fleet|verify|bench|all]... \
-             [--scale S] [--workers 1,2,...] [--seed N] [--csv DIR] [--threads N] [--shards N] \
-             [--backend was,s3,gcs,file|all] [--ladder quick|full] \
-             [--timeline] [--extrapolate] [--verify-seeds N] [--naive] [--expect-violation]"
-        );
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
         std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
+    if args.targets.is_empty() {
+        eprintln!("{}", usage());
+        std::process::exit(2);
+    }
+    if let Some(dir) = &args.csv_dir {
+        // Before any sweep: an unwritable `--csv` must not cost a run.
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot write {dir}: {e}"))?;
     }
 
     let mut cfg = BenchConfig::paper()
@@ -214,8 +298,7 @@ fn main() {
     }
     if args.timeline {
         // Gauge sampling is passive: the emitted figures are bit-identical
-        // with or without this flag; only wall-clock time changes (and the
-        // `bench` target then measures exactly that overhead).
+        // with or without this flag; only wall-clock time changes.
         cfg.params.timeline_resolution = Some(azurebench::timeline::DEFAULT_RESOLUTION);
     }
     eprintln!(
@@ -236,203 +319,144 @@ fn main() {
         }
     );
 
-    // One timestamp per invocation: a multi-backend `bench` run appends
-    // every backend's rungs under the same unix_ts, so `bench_check trend`
-    // sees them all as one run and gates every backend's series (not just
-    // whichever backend happened to finish last).
-    let bench_ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-
-    // One full pass per selected backend. `was` keeps the unsuffixed
-    // output names (the committed goldens); peers suffix every artifact
-    // with `-{backend}` so one run can emit all four side by side.
-    for &kind in &args.backends {
+    // One pass per selected backend; the backend-independent targets ride
+    // along with the first pass only.
+    for (pass, &kind) in args.backends.iter().enumerate() {
         if args.backends.len() > 1 {
             eprintln!("# ---- backend: {kind} ----");
         }
-        run_targets(&args, cfg.clone().with_backend(kind), kind, bench_ts);
+        let ctx = Ctx {
+            args: &args,
+            cfg: cfg.clone().with_backend(kind),
+            sfx: match kind {
+                BackendKind::Was => String::new(),
+                peer => format!("-{}", peer.name()),
+            },
+            alg1: OnceCell::new(),
+        };
+        for t in args.targets.iter().filter(|t| t.per_backend || pass == 0) {
+            let start = Instant::now();
+            (t.run)(&ctx)?;
+            eprintln!("# {} swept in {:.1?}", t.name, start.elapsed());
+        }
     }
+    Ok(())
 }
 
-/// Run every requested target once, against one backend.
-fn run_targets(args: &Args, cfg: BenchConfig, kind: BackendKind, bench_ts: u64) {
-    let sfx = if kind == BackendKind::Was {
-        String::new()
-    } else {
-        format!("-{}", kind.name())
-    };
-    let sfx = sfx.as_str();
-    let want = |t: &str| args.targets.iter().any(|x| x == t || x == "all");
-
-    if want("table1") {
-        println!(
-            "# Table I — VM configurations\n{}",
-            azsim_compute::vm::render_table1()
-        );
-    }
-    if want("fig4") || want("fig5") {
-        let t = Instant::now();
-        let figs = alg1_blob::figures_4_and_5(&cfg);
-        eprintln!("# alg1 (blob) swept in {:.1?}", t.elapsed());
-        let (fig4, fig5): (Vec<Figure>, Vec<Figure>) =
-            figs.into_iter().partition(|f| f.id.starts_with("fig4"));
-        if want("fig4") {
-            emit(&fig4, &args.csv_dir, sfx);
-        }
-        if want("fig5") {
-            emit(&fig5, &args.csv_dir, sfx);
-        }
-    }
-    if want("fig6") {
-        let t = Instant::now();
-        let figs = alg3_queue::figure_6(&cfg);
-        eprintln!("# alg3 (queue, separate) swept in {:.1?}", t.elapsed());
-        emit(&figs, &args.csv_dir, sfx);
-    }
-    if want("fig7") {
-        let t = Instant::now();
-        let figs = alg4_queue::figure_7(&cfg);
-        eprintln!("# alg4 (queue, shared) swept in {:.1?}", t.elapsed());
-        emit(&figs, &args.csv_dir, sfx);
-    }
-    if want("fig8") {
-        let t = Instant::now();
-        let figs = alg5_table::figure_8(&cfg);
-        eprintln!("# alg5 (table) swept in {:.1?}", t.elapsed());
-        emit(&figs, &args.csv_dir, sfx);
-    }
-    if want("latency") {
-        let t = Instant::now();
-        let report = azurebench::latency::profile_mixed(&cfg, 8, 50);
-        eprintln!("# latency profile swept in {:.1?}", t.elapsed());
-        println!(
-            "# latency — per-op distributions (mixed workload, 8 workers)\n{}",
-            report.render()
-        );
-    }
-    if want("fig9") {
-        let t = Instant::now();
-        let fig = fig9::figure_9(&cfg);
-        eprintln!("# fig9 (per-op) swept in {:.1?}", t.elapsed());
-        emit(std::slice::from_ref(&fig), &args.csv_dir, sfx);
-        if args.extrapolate {
-            let t = Instant::now();
-            let fig = fig9::figure_9_extrapolated(&cfg);
-            eprintln!(
-                "# fig9 extrapolation ({} workers) swept in {:.1?}",
-                fig9::EXTRAPOLATE_WORKERS,
-                t.elapsed()
-            );
-            emit(std::slice::from_ref(&fig), &args.csv_dir, sfx);
-        }
-    }
-    if want("profile") {
-        let t = Instant::now();
-        let report = azurebench::profile::run_profile(&cfg, &cfg.workers, cfg.scaled(50));
-        eprintln!("# profile (phase breakdown) swept in {:.1?}", t.elapsed());
-        println!(
-            "# profile — per-phase latency breakdown (mixed workload)\n{}",
-            report.render()
-        );
-        let dir = args.csv_dir.clone().unwrap_or_else(|| "results".to_owned());
-        std::fs::create_dir_all(&dir).expect("create profile dir");
-        let json_path = format!("{dir}/profile{sfx}.json");
-        std::fs::write(&json_path, report.to_json()).expect("write profile.json");
-        eprintln!("wrote {json_path}");
-        let prom_path = format!("{dir}/profile{sfx}.prom");
-        std::fs::write(&prom_path, report.to_prometheus()).expect("write profile.prom");
-        eprintln!("wrote {prom_path}");
-        let otlp_path = format!("{dir}/profile{sfx}.otlp.json");
-        std::fs::write(&otlp_path, report.to_otlp()).expect("write profile.otlp.json");
-        eprintln!("wrote {otlp_path}");
-    }
-    if want("timeline") {
-        let t = Instant::now();
-        let report = azurebench::timeline::run_timeline(&cfg, 8, cfg.scaled(50));
-        eprintln!("# timeline (gauge sampling) swept in {:.1?}", t.elapsed());
-        println!(
-            "# timeline — virtual-time gauge/counter series (mixed workload + faults)\n{}",
-            report.render()
-        );
-        let dir = args.csv_dir.clone().unwrap_or_else(|| "results".to_owned());
-        std::fs::create_dir_all(&dir).expect("create timeline dir");
-        for (name, ext, body) in [
-            ("timeline", "json", report.to_json()),
-            ("timeline", "csv", report.to_csv()),
-            ("trace", "json", report.to_chrome_trace()),
-            ("metrics", "prom", report.to_prometheus()),
-            ("metrics", "otlp.json", report.to_otlp()),
-        ] {
-            let path = format!("{dir}/{name}{sfx}.{ext}");
-            std::fs::write(&path, body).expect("write timeline export");
-            eprintln!("wrote {path}");
-        }
-    }
-    if want("bottleneck") {
-        let t = Instant::now();
-        let report = azurebench::bottleneck::run_bottlenecks(&cfg, &cfg.workers);
-        eprintln!(
-            "# bottleneck (saturation attribution) swept in {:.1?}",
-            t.elapsed()
-        );
-        println!("{}", report.render_markdown());
-        let dir = args.csv_dir.clone().unwrap_or_else(|| "results".to_owned());
-        std::fs::create_dir_all(&dir).expect("create bottleneck dir");
-        let json_path = format!("{dir}/bottlenecks{sfx}.json");
-        std::fs::write(&json_path, report.to_json()).expect("write bottlenecks.json");
-        eprintln!("wrote {json_path}");
-        let md_path = format!("{dir}/bottlenecks{sfx}.md");
-        std::fs::write(&md_path, report.render_markdown()).expect("write bottlenecks.md");
-        eprintln!("wrote {md_path}");
-    }
-    if want("chaos") {
-        let t = Instant::now();
-        let figs = chaos::figure_chaos(&cfg, 8, &[0.0, 0.25, 0.5, 0.75, 1.0]);
-        eprintln!("# chaos (fault injection) swept in {:.1?}", t.elapsed());
-        emit(&figs, &args.csv_dir, sfx);
-    }
-    // `fleet` is opt-in only (not part of `all`): it is this
-    // reproduction's own scaling scenario, not a paper figure.
-    if args.targets.iter().any(|t| t == "fleet") {
-        let t = Instant::now();
-        let figs = azurebench::fleet::figure_fleet(&cfg);
-        eprintln!("# fleet (multi-tenant) swept in {:.1?}", t.elapsed());
-        emit(&figs, &args.csv_dir, sfx);
-    }
-    // `verify` is opt-in only (not part of `all`): it runs the resilience
-    // chaos search, not a figure, and its exit code reports the verdict.
-    if args.targets.iter().any(|t| t == "verify") {
-        run_verify_target(args, kind, sfx);
-    }
-    // `bench` is opt-in only (not part of `all`): it re-runs the figure
-    // suite purely for timing and writes BENCH_engine.json.
-    if args.targets.iter().any(|t| t == "bench") {
-        run_bench(&cfg, &args.csv_dir, kind, sfx, args.quick_ladder, bench_ts);
-    }
+fn run_table1(_: &Ctx) -> Result<(), String> {
+    println!(
+        "# Table I — VM configurations\n{}",
+        azsim_compute::vm::render_table1()
+    );
+    Ok(())
 }
 
-/// The `verify` target: chaos-search the fault-plan space for invariant
-/// violations. Exit code 0 = expectation met (clean under the hardened
-/// policy, or a violation found when `--expect-violation` was given);
-/// 1 = unexpected outcome. On violation, the shrunk reproducer is written
-/// as `repro-<policy>.json`.
-fn run_verify_target(args: &Args, kind: BackendKind, sfx: &str) {
+fn run_fig4(c: &Ctx) -> Result<(), String> {
+    c.emit(&c.alg1().0)
+}
+
+fn run_fig5(c: &Ctx) -> Result<(), String> {
+    c.emit(&c.alg1().1)
+}
+
+fn run_fig6(c: &Ctx) -> Result<(), String> {
+    c.emit(&alg3_queue::figure_6(&c.cfg))
+}
+
+fn run_fig7(c: &Ctx) -> Result<(), String> {
+    c.emit(&alg4_queue::figure_7(&c.cfg))
+}
+
+fn run_fig8(c: &Ctx) -> Result<(), String> {
+    c.emit(&alg5_table::figure_8(&c.cfg))
+}
+
+fn run_latency(c: &Ctx) -> Result<(), String> {
+    let report = azurebench::latency::profile_mixed(&c.cfg, 8, 50);
+    println!(
+        "# latency — per-op distributions (mixed workload, 8 workers)\n{}",
+        report.render()
+    );
+    Ok(())
+}
+
+fn run_fig9(c: &Ctx) -> Result<(), String> {
+    c.emit(&[fig9::figure_9(&c.cfg)])?;
+    if c.args.extrapolate {
+        c.emit(&[fig9::figure_9_extrapolated(&c.cfg)])?;
+    }
+    Ok(())
+}
+
+fn run_profile(c: &Ctx) -> Result<(), String> {
+    let report = azurebench::profile::run_profile(&c.cfg, &c.cfg.workers, c.cfg.scaled(50));
+    println!(
+        "# profile — per-phase latency breakdown (mixed workload)\n{}",
+        report.render()
+    );
+    c.write("profile", "json", &report.to_json())?;
+    c.write("profile", "prom", &report.to_prometheus())?;
+    c.write("profile", "otlp.json", &report.to_otlp())
+}
+
+fn run_timeline(c: &Ctx) -> Result<(), String> {
+    let report = azurebench::timeline::run_timeline(&c.cfg, 8, c.cfg.scaled(50));
+    println!(
+        "# timeline — virtual-time gauge/counter series (mixed workload + faults)\n{}",
+        report.render()
+    );
+    c.write("timeline", "json", &report.to_json())?;
+    c.write("timeline", "csv", &report.to_csv())?;
+    c.write("trace", "json", &report.to_chrome_trace())?;
+    c.write("metrics", "prom", &report.to_prometheus())?;
+    c.write("metrics", "otlp.json", &report.to_otlp())
+}
+
+fn run_bottleneck(c: &Ctx) -> Result<(), String> {
+    let report = azurebench::bottleneck::run_bottlenecks(&c.cfg, &c.cfg.workers);
+    let markdown = report.render_markdown();
+    println!("{markdown}");
+    c.write("bottlenecks", "json", &report.to_json())?;
+    c.write("bottlenecks", "md", &markdown)
+}
+
+fn run_chaos(c: &Ctx) -> Result<(), String> {
+    c.emit(&chaos::figure_chaos(
+        &c.cfg,
+        8,
+        &[0.0, 0.25, 0.5, 0.75, 1.0],
+    ))
+}
+
+fn run_fleet(c: &Ctx) -> Result<(), String> {
+    c.emit(&azurebench::fleet::figure_fleet(&c.cfg))
+}
+
+/// The `verify` target: chaos-search the fault-plan space — `--verify-seeds
+/// N` randomized plans plus boundary schedules — for violations of the
+/// invariants in [`azurebench::verify`]. `--naive` swaps the hardened
+/// idempotent client for a blind-retry one (expected to be caught). Exit
+/// code 0 = expectation met (clean under the hardened policy, or a
+/// violation found when `--expect-violation` was given); 1 = unexpected
+/// outcome. On violation, the shrunk reproducer is written as
+/// `repro-<policy>.json`.
+fn run_verify(c: &Ctx) -> Result<(), String> {
+    let args = c.args;
+    let policy = if args.naive { "naive" } else { "hardened" };
     let vcfg = verify::VerifyConfig {
         seed: args.seed.unwrap_or(2012),
         hardened: !args.naive,
-        backend: kind,
+        backend: c.cfg.backend(),
         ..verify::VerifyConfig::quick(!args.naive)
     };
     let seeds: Vec<u64> = (0..args.verify_seeds as u64).collect();
     let t = Instant::now();
     let report = verify::chaos_search(&vcfg, &seeds, args.threads);
     eprintln!(
-        "# verify: {} runs ({} boundary + {} seeded, {} policy) in {:.1?}",
+        "# verify: {} runs ({} boundary + {} seeded, {policy} policy) in {:.1?}",
         report.runs,
         report.boundary_runs,
         seeds.len(),
-        if vcfg.hardened { "hardened" } else { "naive" },
         t.elapsed()
     );
     match &report.failure {
@@ -458,19 +482,13 @@ fn run_verify_target(args: &Args, kind: BackendKind, sfx: &str) {
             for v in &case.violations {
                 println!("  {}: {}", v.invariant, v.detail);
             }
-            let dir = args.csv_dir.clone().unwrap_or_else(|| "results".to_owned());
-            std::fs::create_dir_all(&dir).expect("create repro dir");
-            let path = format!(
-                "{dir}/repro-{}{sfx}.json",
-                if vcfg.hardened { "hardened" } else { "naive" }
-            );
-            std::fs::write(&path, doc.to_json()).expect("write reproducer");
-            eprintln!("wrote {path}");
+            c.write(&format!("repro-{policy}"), "json", &doc.to_json())?;
             if !args.expect_violation {
                 std::process::exit(1);
             }
         }
     }
+    Ok(())
 }
 
 /// A free model: every request completes in 1 µs of virtual time, so the
@@ -559,40 +577,39 @@ fn engine_ops(actors: usize, per_actor: u64, shards: u32, windowed: bool) -> Eng
     }
 }
 
-/// The `bench` target: engine micro-benchmark plus a timed pass over every
-/// figure at the current config, written as `BENCH_engine.json` (into the
-/// `--csv` directory if given, else the working directory).
-fn run_bench(
-    cfg: &BenchConfig,
-    csv_dir: &Option<String>,
-    kind: BackendKind,
-    sfx: &str,
-    quick: bool,
-    ts: u64,
-) {
-    let backend = kind.name();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut lines = String::from("{\n");
+/// The engine ladder: (actors, back-to-back requests per actor). It climbs
+/// through 100 000 actors to a 1 000 000-actor smoke rung; per-actor ops
+/// shrink past 512 so every rung stays near a constant 25.6 M total ops
+/// (25 M at the million-actor rung).
+const LADDER: [(usize, u64); 9] = [
+    (1, 50_000),
+    (8, 50_000),
+    (32, 50_000),
+    (128, 50_000),
+    (512, 50_000),
+    (2_048, 12_500),
+    (10_000, 2_560),
+    (100_000, 256),
+    (1_000_000, 25),
+];
+/// `--ladder quick`: the two cheapest representative rungs, with the same
+/// (actors, per-actor) tuples as the full ladder so history series stay
+/// comparable across ladder modes.
+const QUICK: [(usize, u64); 2] = [(1, 50_000), (128, 50_000)];
 
-    // The ladder climbs through 100 000 actors to a 1 000 000-actor smoke
-    // rung; per-actor ops shrink past 512 so every rung stays near a
-    // constant 25.6 M total ops (25 M at the million-actor rung).
-    const LADDER: [(usize, u64); 9] = [
-        (1, 50_000),
-        (8, 50_000),
-        (32, 50_000),
-        (128, 50_000),
-        (512, 50_000),
-        (2_048, 12_500),
-        (10_000, 2_560),
-        (100_000, 256),
-        (1_000_000, 25),
-    ];
-    // `--ladder quick`: the two cheapest representative rungs, with the
-    // same (actors, per-actor) tuples as the full ladder so history
-    // series stay comparable across ladder modes.
-    const QUICK: [(usize, u64); 2] = [(1, 50_000), (128, 50_000)];
-    let ladder: &[(usize, u64)] = if quick { &QUICK } else { &LADDER };
+/// The `bench` target: climb the engine ladder (serial always; sharded
+/// rungs too when `--shards` > 1) and append one
+/// `azurebench-bench-history/v1` row per rung, with host/commit provenance,
+/// to `BENCH_history.jsonl` (in the `--csv` directory if given, else the
+/// working directory) — the only record of the run, and what
+/// `bench_check trend` gates on. The append refuses runs older than the
+/// history tail: a skewed clock or a replayed run must not corrupt the
+/// trend order. The ladder's model is backend-free, so the target runs
+/// once per invocation whatever `--backend` says.
+fn run_bench(c: &Ctx) -> Result<(), String> {
+    let cfg = &c.cfg;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ladder: &[(usize, u64)] = if c.args.quick_ladder { &QUICK } else { &LADDER };
     let mut rungs: Vec<(usize, u64, u32, bool)> =
         ladder.iter().map(|&(a, p)| (a, p, 1, false)).collect();
     if cfg.shards > 1 {
@@ -608,9 +625,13 @@ fn run_bench(
         );
     }
 
+    // One timestamp for every rung: it is the run key `bench_check trend`
+    // groups rows by.
+    let ts = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
     let (host, commit) = (benchhist::detect_host(), benchhist::detect_commit());
-    let mut engines = Vec::new();
-    let mut history_rows = Vec::new();
+    let mut rows = Vec::new();
     for (actors, per_actor, shards, windowed) in rungs {
         let run = engine_ops(actors, per_actor, shards, windowed);
         let (ops, wall) = (run.ops, run.wall);
@@ -624,92 +645,44 @@ fn run_bench(
                 String::new()
             }
         );
-        let per_shard = run
-            .shard_events
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        engines.push(format!(
-            "    {{ \"backend\": \"{backend}\", \"actors\": {actors}, \"shards\": {shards}, \
-             \"cores\": {cores}, \"simulated_ops\": {ops}, \"wall_seconds\": {wall:.6}, \
-             \"ops_per_second\": {rate:.1}, \"window_multiple\": {:.4}, \
-             \"per_shard_events\": [{per_shard}] }}",
-            run.window_multiple
-        ));
-        // The snapshot rounds wall/ops-per-second; the history row must
-        // carry the same rounded values so `bench_check` sees snapshot and
-        // history agree on the latest run.
-        history_rows.push(benchhist::HistoryRow {
+        rows.push(benchhist::HistoryRow {
             unix_ts: ts,
             host: host.clone(),
             commit: commit.clone(),
-            backend: backend.to_owned(),
+            backend: benchhist::DEFAULT_BACKEND.to_owned(),
             scale: cfg.scale,
             seed: cfg.seed,
             actors: actors as u64,
             shards: shards as u64,
             cores: cores as u64,
             simulated_ops: ops,
-            wall_seconds: format!("{wall:.6}").parse().unwrap_or(wall),
-            ops_per_second: format!("{rate:.1}").parse().unwrap_or(rate),
-            per_shard_events: run.shard_events.clone(),
+            // Microsecond / 0.1 op/s resolution, like every committed row.
+            wall_seconds: (wall * 1e6).round() / 1e6,
+            ops_per_second: (rate * 10.0).round() / 10.0,
+            per_shard_events: run.shard_events,
         });
     }
-    lines.push_str("  \"engine\": [\n");
-    lines.push_str(&engines.join(",\n"));
-    lines.push_str("\n  ],\n");
 
-    type FigureFn = fn(&BenchConfig) -> Vec<Figure>;
-    let figures: [(&str, FigureFn); 5] = [
-        ("alg1_blob", alg1_blob::figures_4_and_5),
-        ("alg3_queue", alg3_queue::figure_6),
-        ("alg4_queue", alg4_queue::figure_7),
-        ("alg5_table", alg5_table::figure_8),
-        ("fig9", |c| vec![fig9::figure_9(c)]),
-    ];
-    let mut timed = Vec::new();
-    for (name, f) in figures {
-        let t = Instant::now();
-        let figs = f(cfg);
-        let wall = t.elapsed().as_secs_f64();
-        eprintln!(
-            "# bench: {name} swept in {wall:.3}s ({} figures)",
-            figs.len()
-        );
-        timed.push(format!(
-            "    {{ \"figure\": \"{name}\", \"wall_seconds\": {wall:.6} }}"
-        ));
-    }
-    lines.push_str("  \"figures\": [\n");
-    lines.push_str(&timed.join(",\n"));
-    lines.push_str("\n  ],\n");
-    lines.push_str(&format!(
-        "  \"config\": {{ \"backend\": \"{backend}\", \"scale\": {}, \"workers\": {:?}, \
-         \"seed\": {}, \"sweep_threads\": {}, \"shards\": {}, \"cores\": {} }}\n",
-        cfg.scale, cfg.workers, cfg.seed, cfg.sweep_threads, cfg.shards, cores
-    ));
-    lines.push_str("}\n");
+    let dir = c.args.csv_dir.as_deref().unwrap_or(".");
+    let path = format!("{dir}/BENCH_history.jsonl");
+    benchhist::append_rows(&path, &rows)?;
+    eprintln!("appended {path} ({} rung(s) at unix_ts {ts})", rows.len());
+    Ok(())
+}
 
-    let dir = csv_dir.clone().unwrap_or_else(|| ".".to_owned());
-    std::fs::create_dir_all(&dir).expect("create bench dir");
-    let path = format!("{dir}/BENCH_engine{sfx}.json");
-    std::fs::write(&path, &lines).expect("write BENCH_engine.json");
-    eprintln!("wrote {path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    // Append one v1 row per rung so engine throughput is tracked over time
-    // (the full export above is a snapshot, overwritten every run). The
-    // append refuses runs older than the history tail — a skewed clock or a
-    // replayed run must not corrupt the trend order.
-    let history_path = format!("{dir}/BENCH_history.jsonl");
-    match benchhist::append_rows(&history_path, &history_rows) {
-        Ok(()) => eprintln!(
-            "appended {history_path} ({} rung(s) at unix_ts {ts})",
-            history_rows.len()
-        ),
-        Err(e) => {
-            eprintln!("error: {history_path}: {e}");
-            std::process::exit(1);
-        }
+    #[test]
+    fn target_names_are_unique_and_all_in_the_usage_text() {
+        let usage = usage();
+        let listed = usage.split(['[', ']']).nth(1).expect("bracketed list");
+        let mut expected = names(TARGETS.iter());
+        expected.push("all");
+        assert_eq!(listed.split('|').collect::<Vec<_>>(), expected, "{usage}");
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(expected.len(), TARGETS.len() + 1, "a name is listed twice");
     }
 }

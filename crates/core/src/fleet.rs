@@ -151,7 +151,7 @@ pub fn figure_fleet(cfg: &BenchConfig) -> Vec<Figure> {
 /// the striped plan actually spreading load; `history-stable` is 1 when
 /// the `(time, actor, seq)` observable-history fingerprint matches the
 /// serial reference. Wall-clock scaling is measured by the `bench` target
-/// (`BENCH_engine.json`), never committed in goldens.
+/// (`BENCH_history.jsonl`), never committed in goldens.
 pub fn figure_fleet_scaling(cfg: &BenchConfig) -> Figure {
     let (tenants, workers_per_tenant) = (8u32, 4usize);
     let mut throughput = Series::new("ops-per-vsec");
