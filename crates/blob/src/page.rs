@@ -11,11 +11,15 @@ use azsim_storage::{StorageError, StorageResult};
 use bytes::{Bytes, BytesMut};
 use std::collections::BTreeMap;
 
-/// A page blob: a sparse map from 512-byte page index to page contents.
+/// A page blob: a sparse map of written extents.
 #[derive(Clone, Debug)]
 pub struct PageBlob {
     size: u64,
-    pages: BTreeMap<u64, Bytes>,
+    /// Written ranges, keyed by start offset. Extents never overlap and
+    /// are never empty; every start and length is a multiple of 512. Each
+    /// is a view of the upload buffer that wrote it, so a 1 MB `put_page`
+    /// costs one node however many pages it covers.
+    extents: BTreeMap<u64, Bytes>,
     /// Lazily assembled full content, shared by concurrent whole-blob
     /// downloads; invalidated by writes.
     download_cache: Option<Bytes>,
@@ -36,7 +40,7 @@ impl PageBlob {
         }
         Ok(PageBlob {
             size,
-            pages: BTreeMap::new(),
+            extents: BTreeMap::new(),
             download_cache: None,
         })
     }
@@ -46,9 +50,10 @@ impl PageBlob {
         self.size
     }
 
-    /// Number of distinct 512-byte pages ever written.
+    /// Number of distinct 512-byte pages currently holding written data.
     pub fn written_pages(&self) -> usize {
-        self.pages.len()
+        let bytes: usize = self.extents.values().map(Bytes::len).sum();
+        bytes / PAGE_ALIGNMENT as usize
     }
 
     fn check_range(&self, offset: u64, length: u64) -> StorageResult<()> {
@@ -63,8 +68,26 @@ impl PageBlob {
         Ok(())
     }
 
+    /// The extents that intersect `offset..end`, in offset order: the one
+    /// starting at or before `offset` if it reaches past it, then every
+    /// one starting inside the range.
+    fn overlapping(&self, offset: u64, end: u64) -> impl Iterator<Item = (u64, &Bytes)> {
+        let before = self
+            .extents
+            .range(..offset)
+            .next_back()
+            .filter(|(&s, e)| s + e.len() as u64 > offset);
+        before
+            .into_iter()
+            .chain(self.extents.range(offset..end))
+            .map(|(&s, e)| (s, e))
+    }
+
     /// Write a page range. Overlapping earlier writes are overwritten
-    /// (last writer wins at 512-byte granularity).
+    /// (last writer wins at 512-byte granularity): the extents the range
+    /// overlaps are removed, what sticks out of it on either side is kept
+    /// as a narrower view of the same buffer, and `data` goes in as one
+    /// extent.
     pub fn put_page(&mut self, offset: u64, data: Bytes) -> StorageResult<()> {
         self.download_cache = None;
         let length = data.len() as u64;
@@ -72,57 +95,49 @@ impl PageBlob {
             return Err(StorageError::InvalidPageRange { offset, length });
         }
         self.check_range(offset, length)?;
-        let first = offset / PAGE_ALIGNMENT;
-        let count = length / PAGE_ALIGNMENT;
-        for i in 0..count {
-            let lo = (i * PAGE_ALIGNMENT) as usize;
-            let hi = lo + PAGE_ALIGNMENT as usize;
-            self.pages.insert(first + i, data.slice(lo..hi));
+        let end = offset + length;
+        let hit: Vec<u64> = self.overlapping(offset, end).map(|(s, _)| s).collect();
+        for start in hit {
+            let old = self
+                .extents
+                .remove(&start)
+                .expect("key was just read from the map");
+            if start < offset {
+                self.extents
+                    .insert(start, old.slice(..(offset - start) as usize));
+            }
+            if start + old.len() as u64 > end {
+                self.extents
+                    .insert(end, old.slice((end - start) as usize..));
+            }
         }
+        self.extents.insert(offset, data);
         Ok(())
     }
 
     /// Read a page range; unwritten pages read as zeros.
     ///
-    /// When the requested range exactly covers pages that are still
-    /// adjacent views of one upload buffer (the common case: a read aligned
-    /// with an earlier `put_page`), the result is a zero-copy re-join of
-    /// that buffer. Otherwise the range is assembled into a fresh buffer
-    /// with a single ordered scan.
+    /// A range that lies inside one extent — any aligned sub-range of an
+    /// earlier `put_page` — is a zero-copy view of that upload's buffer.
+    /// A range that spans several extents or touches a hole is assembled
+    /// into a fresh zeroed buffer.
     pub fn get_page(&self, offset: u64, length: u64) -> StorageResult<Bytes> {
         self.check_range(offset, length)?;
-        let first = offset / PAGE_ALIGNMENT;
-        let count = length / PAGE_ALIGNMENT;
-        if let Some(joined) = self.rejoin(first, count) {
-            return Ok(joined);
+        let end = offset + length;
+        let mut hits = self.overlapping(offset, end).peekable();
+        // Only the first overlapping extent can start at or before `offset`.
+        if let Some(&(start, extent)) = hits.peek() {
+            if start <= offset && end <= start + extent.len() as u64 {
+                return Ok(extent.slice((offset - start) as usize..(end - start) as usize));
+            }
         }
         let mut out = BytesMut::zeroed(length as usize);
-        for (&idx, p) in self.pages.range(first..first + count) {
-            let lo = ((idx - first) * PAGE_ALIGNMENT) as usize;
-            out[lo..lo + PAGE_ALIGNMENT as usize].copy_from_slice(p);
+        for (start, extent) in hits {
+            let (lo, hi) = (start.max(offset), (start + extent.len() as u64).min(end));
+            out[(lo - offset) as usize..(hi - offset) as usize]
+                .copy_from_slice(&extent[(lo - start) as usize..(hi - start) as usize]);
         }
         Ok(out.freeze())
-    }
-
-    /// Try to reassemble `count` pages starting at `first` as one widened
-    /// view of their shared backing buffer (zero-copy). `None` if any page
-    /// is missing or the pages are not adjacent slices of one buffer.
-    fn rejoin(&self, first: u64, count: u64) -> Option<Bytes> {
-        let mut it = self.pages.range(first..first + count);
-        let (&k0, p0) = it.next()?;
-        if k0 != first {
-            return None;
-        }
-        let mut joined = p0.clone();
-        let mut expect = first + 1;
-        for (&k, p) in it {
-            if k != expect {
-                return None;
-            }
-            joined = joined.try_join(p)?;
-            expect += 1;
-        }
-        (expect == first + count).then_some(joined)
     }
 
     /// Download the entire blob (`openRead()` path): all `size` bytes with
@@ -132,6 +147,7 @@ impl PageBlob {
         if let Some(c) = &self.download_cache {
             return c.clone();
         }
+        // The whole blob is a valid range unless the blob is empty.
         let out = self.get_page(0, self.size).unwrap_or_else(|_| Bytes::new());
         self.download_cache = Some(out.clone());
         out
@@ -141,6 +157,10 @@ impl PageBlob {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Size of the blob the reference-model proptest runs on.
+    const PAGES: u64 = 64;
+    const SIZE: u64 = PAGES * 512;
 
     #[test]
     fn create_validates_size() {
@@ -220,24 +240,67 @@ mod tests {
         assert!(out[1024..].iter().all(|&x| x == 1));
     }
 
+    #[test]
+    fn aligned_sub_range_read_shares_the_upload_allocation() {
+        let mut b = PageBlob::create(8192).unwrap();
+        let data = Bytes::from((0..4096u32).map(|i| (i / 512) as u8).collect::<Vec<u8>>());
+        b.put_page(1024, data.clone()).unwrap();
+        // Neither the whole extent nor a strict sub-range of it is copied.
+        assert_eq!(b.get_page(1024, 4096).unwrap().as_ptr(), data.as_ptr());
+        let inner = b.get_page(2048, 1024).unwrap();
+        assert_eq!(inner.as_ptr(), data[1024..].as_ptr());
+        assert_eq!(inner, data.slice(1024..2048));
+        // Splitting the extent keeps both remnants as views of the upload.
+        b.put_page(2560, Bytes::from(vec![9u8; 512])).unwrap();
+        assert_eq!(b.written_pages(), 8);
+        assert_eq!(b.get_page(1024, 1536).unwrap().as_ptr(), data.as_ptr());
+        assert_eq!(
+            b.get_page(3072, 2048).unwrap().as_ptr(),
+            data[2048..].as_ptr()
+        );
+    }
+
     proptest::proptest! {
-        /// Arbitrary aligned writes match a flat reference buffer.
+        /// Interleaved aligned writes, range reads and whole-blob downloads
+        /// match a flat reference buffer: reads inside one extent, across
+        /// several, over holes, and after overwrites that trim an extent or
+        /// split it in two.
         #[test]
         fn prop_matches_reference_model(
-            writes in proptest::collection::vec(
-                (0u64..16, 1u64..8, 0u8..=255), 0..40)
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..PAGES, 1u64..24, 0u8..=255), 0..80)
         ) {
-            const SIZE: u64 = 16 * 512;
             let mut blob = PageBlob::create(SIZE).unwrap();
             let mut reference = vec![0u8; SIZE as usize];
-            for (page, len_pages, fill) in writes {
+            let mut written = [false; PAGES as usize];
+            for (kind, page, len_pages, fill) in ops {
                 let offset = page * 512;
                 let len = (len_pages * 512).min(SIZE - offset);
-                if len == 0 { continue; }
-                let data = vec![fill; len as usize];
-                blob.put_page(offset, Bytes::from(data.clone())).unwrap();
-                reference[offset as usize..(offset + len) as usize]
-                    .copy_from_slice(&data);
+                let range = offset as usize..(offset + len) as usize;
+                match kind {
+                    0 | 1 => {
+                        // Every page of a write differs, so a view that is
+                        // off by a page cannot pass for the right one.
+                        let data: Vec<u8> = (0..len)
+                            .map(|i| fill.wrapping_add((i / 512) as u8))
+                            .collect();
+                        reference[range].copy_from_slice(&data);
+                        written[page as usize..(page + len / 512) as usize].fill(true);
+                        blob.put_page(offset, Bytes::from(data)).unwrap();
+                    }
+                    2 => {
+                        let got = blob.get_page(offset, len).unwrap();
+                        proptest::prop_assert_eq!(got.as_ref(), &reference[range]);
+                    }
+                    _ => {
+                        let got = blob.download();
+                        proptest::prop_assert_eq!(got.as_ref(), reference.as_slice());
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    blob.written_pages(),
+                    written.iter().filter(|&&w| w).count()
+                );
             }
             let got = blob.download();
             proptest::prop_assert_eq!(got.as_ref(), reference.as_slice());

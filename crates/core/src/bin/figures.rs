@@ -146,8 +146,16 @@ fn parse_args() -> Result<Args, String> {
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
+                // `split` yields at least one token and an empty token does
+                // not parse, so the ladder cannot come out empty.
                 let ws: Result<Vec<usize>, _> = v.split(',').map(|s| s.parse()).collect();
-                args.workers = Some(ws.map_err(|_| format!("bad workers list {v:?}"))?);
+                let ws = ws.map_err(|_| format!("bad workers list {v:?}"))?;
+                if ws.contains(&0) {
+                    return Err(format!(
+                        "bad workers list {v:?} (every entry must be at least 1)"
+                    ));
+                }
+                args.workers = Some(ws);
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;

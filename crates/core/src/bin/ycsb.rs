@@ -29,7 +29,13 @@ fn main() {
             "E" | "e" => workloads.push(YcsbWorkload::E),
             "F" | "f" => workloads.push(YcsbWorkload::F),
             "all" => workloads.extend(YcsbWorkload::ALL),
-            "--workers" => workers = next_num("--workers") as usize,
+            "--workers" => {
+                workers = next_num("--workers") as usize;
+                if workers == 0 {
+                    eprintln!("error: --workers must be at least 1");
+                    std::process::exit(2);
+                }
+            }
             "--records" => ycsb.records = next_num("--records") as usize,
             "--ops" => ycsb.ops_per_worker = next_num("--ops") as usize,
             "--value-size" => ycsb.value_size = next_num("--value-size") as usize,

@@ -24,6 +24,7 @@ use crate::payload::PayloadGen;
 use azsim_client::{Environment, TableClient, VirtualEnv};
 use azsim_core::stats::OnlineStats;
 use azsim_fabric::Cluster;
+use azsim_framework::QueueBarrier;
 use azsim_storage::{Entity, PropValue};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -195,6 +196,8 @@ pub fn run_ycsb(
             let env = VirtualEnv::new(&ctx);
             let table = TableClient::new(&env, "usertable");
             table.create_table().await.unwrap();
+            let mut barrier = QueueBarrier::new(&env, "ycsb-sync", workers);
+            barrier.init().await.unwrap();
             let mut gen = PayloadGen::new(seed, ctx.id().0 as u64);
 
             // ---- Load phase: each worker loads its share ----
@@ -210,6 +213,10 @@ pub fn run_ycsb(
                     .await
                     .unwrap();
             }
+
+            // A transaction may read any record, so none starts until
+            // every worker has loaded its share.
+            barrier.wait().await.unwrap();
 
             // ---- Transaction phase ----
             let zipf = Zipfian::new(records, theta);
@@ -378,6 +385,17 @@ mod tests {
         );
         // Updates replicate; reads do not: updates must be slower.
         assert!(r[&YcsbOp::Update].mean() > r[&YcsbOp::Read].mean());
+    }
+
+    /// With 96 workers the first to finish loading used to start reading
+    /// records the others had not inserted yet ("loaded key must exist").
+    #[test]
+    fn transactions_wait_for_every_worker_to_load() {
+        for wl in [YcsbWorkload::A, YcsbWorkload::F] {
+            let r = run_ycsb(&bench(), &small(), wl, 96);
+            let ops: u64 = r.values().map(|s| s.count()).sum();
+            assert_eq!(ops, 96 * 50, "{}", wl.label());
+        }
     }
 
     #[test]

@@ -267,6 +267,21 @@ pub struct GaugeRecorder {
     bucket_budget: Option<usize>,
     /// Running total of live buckets across every series.
     total_buckets: usize,
+    /// Series holding at least one bucket (a series never empties again).
+    live: usize,
+    /// The fair share the last budget pass shrank every series to.
+    enforced_fair: Option<usize>,
+    /// Series a pass at an unchanged fair share still has to visit: those
+    /// registered since the last pass (their budget is still the
+    /// recorder's default) and those a sample left over their budget.
+    unsettled: Vec<SeriesRef>,
+}
+
+/// One registered series, gauge or counter, by its index.
+#[derive(Clone, Copy, Debug)]
+enum SeriesRef {
+    Gauge(usize),
+    Counter(usize),
 }
 
 impl GaugeRecorder {
@@ -296,6 +311,9 @@ impl GaugeRecorder {
             dropped_events: 0,
             bucket_budget: None,
             total_buckets: 0,
+            live: 0,
+            enforced_fair: None,
+            unsettled: Vec::new(),
         }
     }
 
@@ -329,7 +347,17 @@ impl GaugeRecorder {
 
     /// Account a series' bucket-count change and re-balance if the global
     /// budget is exceeded.
-    fn note_growth(&mut self, before: usize, after: usize) {
+    fn note_growth(&mut self, series: SeriesRef, before: usize, after: usize) {
+        if after > before {
+            if before == 0 {
+                self.live += 1;
+            }
+            // A sparse series' one coarsening step need not make it fit.
+            let max = self.series_mut(series).max_buckets;
+            if before <= max && after > max {
+                self.unsettled.push(series);
+            }
+        }
         self.total_buckets = (self.total_buckets + after).saturating_sub(before);
         if let Some(budget) = self.bucket_budget {
             if self.total_buckets > budget {
@@ -338,28 +366,40 @@ impl GaugeRecorder {
         }
     }
 
-    /// Shrink every non-empty series to its fair share of the budget.
+    fn series_mut(&mut self, series: SeriesRef) -> &mut TimeSeries {
+        match series {
+            SeriesRef::Gauge(i) => &mut self.gauges[i].series,
+            SeriesRef::Counter(i) => &mut self.counters[i].series.series,
+        }
+    }
+
+    /// Shrink every series to its fair share of the budget.
+    ///
+    /// The share only ever falls (`live` only grows), and a series shrunk
+    /// to it keeps `max_buckets == fair` from then on, for which
+    /// `shrink_to(fair)` does nothing unless a sample left it over that
+    /// budget. So while the share stands where the last pass left it, only
+    /// the `unsettled` series need visiting — which is what keeps a
+    /// recorder past its floor (`total_buckets > budget` on every sample)
+    /// at O(1) per sample instead of a pass over every series.
     fn enforce_budget(&mut self, budget: usize) {
-        let live = self.gauges.iter().filter(|g| !g.series.is_empty()).count()
-            + self
-                .counters
-                .iter()
-                .filter(|c| !c.series.series().is_empty())
-                .count();
-        if live == 0 {
-            return;
+        // Only reached with `total_buckets > budget`, so some series is live.
+        let fair = (budget / self.live).clamp(Self::MIN_SERIES_BUCKETS, self.max_buckets.max(2));
+        if self.enforced_fair != Some(fair) {
+            self.enforced_fair = Some(fair);
+            self.unsettled.clear();
+            self.unsettled
+                .extend((0..self.gauges.len()).map(SeriesRef::Gauge));
+            self.unsettled
+                .extend((0..self.counters.len()).map(SeriesRef::Counter));
         }
-        let fair = (budget / live).clamp(Self::MIN_SERIES_BUCKETS, self.max_buckets.max(2));
-        let mut total = 0usize;
-        for g in &mut self.gauges {
-            g.series.shrink_to(fair);
-            total += g.series.len();
+        while let Some(series) = self.unsettled.pop() {
+            let series = self.series_mut(series);
+            let before = series.len();
+            series.shrink_to(fair);
+            let freed = before - series.len();
+            self.total_buckets -= freed;
         }
-        for c in &mut self.counters {
-            c.series.shrink_to(fair);
-            total += c.series.series().len();
-        }
-        self.total_buckets = total;
     }
 
     /// Configured base resolution (individual series may have coarsened).
@@ -374,7 +414,9 @@ impl GaugeRecorder {
             unit: unit.into(),
             series: TimeSeries::new(self.resolution, self.max_buckets),
         });
-        GaugeId(self.gauges.len() - 1)
+        let id = self.gauges.len() - 1;
+        self.unsettled.push(SeriesRef::Gauge(id));
+        GaugeId(id)
     }
 
     /// Record one gauge sample.
@@ -382,7 +424,7 @@ impl GaugeRecorder {
         let before = self.gauges[id.0].series.len();
         self.gauges[id.0].series.record(t, v);
         let after = self.gauges[id.0].series.len();
-        self.note_growth(before, after);
+        self.note_growth(SeriesRef::Gauge(id.0), before, after);
     }
 
     /// Register a counter series (fed cumulative totals).
@@ -391,7 +433,9 @@ impl GaugeRecorder {
             name: name.into(),
             series: CounterSeries::new(self.resolution, self.max_buckets),
         });
-        CounterId(self.counters.len() - 1)
+        let id = self.counters.len() - 1;
+        self.unsettled.push(SeriesRef::Counter(id));
+        CounterId(id)
     }
 
     /// Record a counter's cumulative value.
@@ -399,7 +443,7 @@ impl GaugeRecorder {
         let before = self.counters[id.0].series.series().len();
         self.counters[id.0].series.record_total(t, total);
         let after = self.counters[id.0].series.series().len();
-        self.note_growth(before, after);
+        self.note_growth(SeriesRef::Counter(id.0), before, after);
     }
 
     /// Append a discrete event (bounded; overflow is counted, not kept).
@@ -648,6 +692,171 @@ mod tests {
             plain.gauges()[0].series.resolution()
         );
         assert_eq!(plain.bucket_budget(), None);
+    }
+
+    /// The recorder as it was before budget enforcement was amortised,
+    /// kept as the reference: a full pass over every series on every new
+    /// bucket past the budget, `live` and the total recounted each time.
+    impl GaugeRecorder {
+        fn recount_live(&self) -> usize {
+            self.gauges.iter().filter(|g| !g.series.is_empty()).count()
+                + self
+                    .counters
+                    .iter()
+                    .filter(|c| !c.series.series().is_empty())
+                    .count()
+        }
+
+        fn enforce_budget_full_pass(&mut self, budget: usize) {
+            let live = self.recount_live();
+            if live == 0 {
+                return;
+            }
+            let fair = (budget / live).clamp(Self::MIN_SERIES_BUCKETS, self.max_buckets.max(2));
+            let mut total = 0usize;
+            for g in &mut self.gauges {
+                g.series.shrink_to(fair);
+                total += g.series.len();
+            }
+            for c in &mut self.counters {
+                c.series.shrink_to(fair);
+                total += c.series.series().len();
+            }
+            self.total_buckets = total;
+        }
+
+        fn note_growth_full_pass(&mut self, before: usize, after: usize) {
+            self.total_buckets = (self.total_buckets + after).saturating_sub(before);
+            if let Some(budget) = self.bucket_budget {
+                if self.total_buckets > budget {
+                    self.enforce_budget_full_pass(budget);
+                }
+            }
+        }
+    }
+
+    /// The amortised recorder and the full-pass reference, fed in step.
+    /// Series `i` is a gauge when `i` is even and a counter when odd.
+    struct Pair {
+        amortised: GaugeRecorder,
+        reference: GaugeRecorder,
+        series: usize,
+    }
+
+    impl Pair {
+        fn new(budget: usize) -> Self {
+            let make = || GaugeRecorder::new(Duration::from_millis(1)).with_adaptive_budget(budget);
+            Pair {
+                amortised: make(),
+                reference: make(),
+                series: 0,
+            }
+        }
+
+        fn register(&mut self) {
+            for r in [&mut self.amortised, &mut self.reference] {
+                if self.series.is_multiple_of(2) {
+                    r.register_gauge("g", "x");
+                } else {
+                    r.register_counter("c");
+                }
+            }
+            self.series += 1;
+        }
+
+        fn record(&mut self, series: usize, t: SimTime, v: f64) {
+            let (slot, r) = (series / 2, &mut self.reference);
+            if series.is_multiple_of(2) {
+                self.amortised.record_gauge(GaugeId(slot), t, v);
+                let before = r.gauges[slot].series.len();
+                r.gauges[slot].series.record(t, v);
+                r.note_growth_full_pass(before, r.gauges[slot].series.len());
+            } else {
+                self.amortised.record_counter(CounterId(slot), t, v);
+                let before = r.counters[slot].series.series().len();
+                r.counters[slot].series.record_total(t, v);
+                r.note_growth_full_pass(before, r.counters[slot].series.series().len());
+            }
+        }
+
+        /// Same budget accounting and, per series, the same resolution,
+        /// bucket budget, bucket count and bucket contents.
+        fn check(&self) -> Result<(), proptest::test_runner::TestCaseError> {
+            let (a, r) = (&self.amortised, &self.reference);
+            proptest::prop_assert_eq!(a.total_buckets(), r.total_buckets());
+            proptest::prop_assert_eq!(a.live, r.recount_live());
+            for (x, y) in a.gauges.iter().zip(&r.gauges) {
+                proptest::prop_assert_eq!(format!("{:?}", x.series), format!("{:?}", y.series));
+            }
+            for (x, y) in a.counters.iter().zip(&r.counters) {
+                proptest::prop_assert_eq!(format!("{:?}", x.series), format!("{:?}", y.series));
+            }
+            Ok(())
+        }
+    }
+
+    proptest::proptest! {
+        /// Random sampling over a growing set of series, under budgets
+        /// small enough that the fair share falls step by step to the
+        /// floor and then stays there.
+        #[test]
+        fn prop_amortised_budget_matches_full_pass(
+            budget in 8usize..400,
+            ops in proptest::collection::vec((0u8..8, 0usize..1000, 0u64..4, 0u32..100), 1..600)
+        ) {
+            let mut pair = Pair::new(budget);
+            pair.register();
+            let mut now = 0;
+            for (kind, pick, dt, v) in ops {
+                if kind == 0 {
+                    pair.register();
+                } else {
+                    now += dt;
+                    pair.record(pick % pair.series, at(now), f64::from(v));
+                }
+                pair.check()?;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
+        /// The production budget (64 × 512 buckets) with more live series
+        /// than it has floor-sized shares for (4 096), some of them
+        /// registered after the floor took over: the regime in which the
+        /// reference makes a full pass on every new bucket.
+        #[test]
+        fn prop_amortised_budget_matches_full_pass_past_the_floor(
+            offset in 0usize..5000,
+            late in 1usize..200,
+        ) {
+            let mut pair = Pair::new(64 * 512);
+            for _ in 0..5000 {
+                pair.register();
+            }
+            // One bucket per series per round: the seventh overruns the
+            // budget, the ninth starts each series coarsening back under.
+            for round in 0..10u64 {
+                if round == 7 {
+                    for _ in 0..late {
+                        pair.register();
+                    }
+                }
+                for i in 0..pair.series {
+                    let series = (i + offset) % pair.series;
+                    pair.record(series, at(round), (round + i as u64) as f64);
+                }
+                pair.check()?;
+                if round == 7 {
+                    proptest::prop_assert!(pair.amortised.live > 4096);
+                    proptest::prop_assert!(pair.amortised.total_buckets() > 64 * 512);
+                    proptest::prop_assert_eq!(
+                        pair.amortised.enforced_fair,
+                        Some(GaugeRecorder::MIN_SERIES_BUCKETS)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

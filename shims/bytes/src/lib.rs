@@ -1,10 +1,14 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! [`Bytes`] is an immutable, cheaply-cloneable byte buffer backed by an
-//! `Arc<[u8]>` plus a view window, so `clone()` and `slice()` are O(1) and
-//! never copy payload — the property the simulated storage services rely
-//! on when a 64 MB blob body flows through several layers. [`BytesMut`] is
-//! a thin growable builder that freezes into a [`Bytes`].
+//! `Arc<Vec<u8>>` plus a view window, so `clone()` and `slice()` are O(1)
+//! and never copy payload — the property the simulated storage services
+//! rely on when a 64 MB blob body flows through several layers. The `Arc`
+//! wraps the vector rather than a `[u8]` so that `Bytes::from(Vec<u8>)`
+//! and [`BytesMut::freeze`] adopt the vector's allocation: `Vec<u8> →
+//! Arc<[u8]>` has to reallocate and copy every byte to put the reference
+//! counts in front of them. [`BytesMut`] is a thin growable builder that
+//! freezes into a [`Bytes`].
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -15,7 +19,7 @@ use std::sync::Arc;
 /// An immutable, reference-counted byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -78,31 +82,14 @@ impl Bytes {
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
-
-    /// Zero-copy concatenation of two *adjacent* views of the same backing
-    /// buffer: if `next` starts exactly where `self` ends in the same
-    /// allocation, return the widened view. Otherwise `None` — the caller
-    /// has to copy. (The real crate's `BytesMut::unsplit` plays this role;
-    /// the storage models use it to reassemble reads from a buffer that
-    /// was split into aligned pages on write.)
-    pub fn try_join(&self, next: &Bytes) -> Option<Bytes> {
-        if Arc::ptr_eq(&self.data, &next.data) && self.end == next.start {
-            Some(Bytes {
-                data: Arc::clone(&self.data),
-                start: self.start,
-                end: next.end,
-            })
-        } else {
-            None
-        }
-    }
 }
 
+/// Adopts the vector's allocation: no payload byte is copied or moved.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -322,17 +309,19 @@ mod tests {
     }
 
     #[test]
-    fn try_join_widens_adjacent_views_only() {
-        let b = Bytes::from(vec![1, 2, 3, 4, 5, 6]);
-        let lo = b.slice(0..3);
-        let hi = b.slice(3..6);
-        let joined = lo.try_join(&hi).expect("adjacent views must join");
-        assert_eq!(joined, b);
-        assert_eq!(Arc::strong_count(&b.data), 4, "join must not copy");
-        // Non-adjacent, overlapping, and foreign views refuse to join.
-        assert!(hi.try_join(&lo).is_none());
-        assert!(lo.try_join(&b.slice(2..4)).is_none());
-        assert!(lo.try_join(&Bytes::from(vec![4, 5, 6])).is_none());
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![7u8; 4096];
+        let p = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), p, "From<Vec<u8>> must not copy");
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.extend_from_slice(&[1u8; 4096]);
+        let p = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), p, "freeze must not copy");
+
+        let s = String::from("a string long enough to live on the heap");
+        let p = s.as_ptr();
+        assert_eq!(Bytes::from(s).as_ptr(), p, "From<String> must not copy");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The command-line contract of the `figures`, `bench_check` and
+//! The command-line contract of the `figures`, `ycsb`, `bench_check` and
 //! `export_check` binaries, checked on the real executables: bad input is
 //! a message on stderr and exit 2 — never a silent success, never a panic
 //! — and `figures bench` leaves exactly one record, appended v1 rows in
@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
+const YCSB: &str = env!("CARGO_BIN_EXE_ycsb");
 const BENCH_CHECK: &str = env!("CARGO_BIN_EXE_bench_check");
 const EXPORT_CHECK: &str = env!("CARGO_BIN_EXE_export_check");
 const REPO: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -48,6 +49,18 @@ fn figures_rejects_bad_input_before_doing_anything() {
             vec!["fig6", "--backend", "was,nope", "--csv", csv],
             "error: unknown backend \"nope\"",
         ),
+        (
+            vec!["fig6", "--workers", "0", "--csv", csv],
+            "error: bad workers list \"0\" (every entry must be at least 1)",
+        ),
+        (
+            vec!["fig6", "--workers", "1,0,4", "--csv", csv],
+            "error: bad workers list \"1,0,4\"",
+        ),
+        (
+            vec!["fig6", "--workers", "", "--csv", csv],
+            "error: bad workers list \"\"",
+        ),
         (vec!["fig9", "--csv", &under_file], "error: cannot write "),
     ] {
         let (code, stderr) = run(FIGURES, &args);
@@ -57,6 +70,16 @@ fn figures_rejects_bad_input_before_doing_anything() {
     }
     assert!(!dir.exists(), "a rejected invocation wrote into --csv");
     std::fs::remove_file(blocker).unwrap();
+}
+
+#[test]
+fn ycsb_rejects_zero_workers() {
+    let (code, stderr) = run(YCSB, &["A", "--workers", "0"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("error: --workers must be at least 1"),
+        "{stderr}"
+    );
 }
 
 #[test]
