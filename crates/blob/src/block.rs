@@ -21,6 +21,9 @@ pub struct BlockBlob {
     committed: Vec<(String, Bytes)>,
     staged: HashMap<String, Bytes>,
     committed_size: u64,
+    /// Whether a block list has ever been committed. Not the same as
+    /// `committed` being non-empty: committing `[]` creates an empty blob.
+    has_commit: bool,
     /// Lazily assembled full content. Shared (`Bytes` is refcounted) by
     /// every concurrent whole-blob download — without this, N workers
     /// downloading the same 100 MB blob would hold N separate copies in
@@ -41,6 +44,7 @@ impl BlockBlob {
             committed: vec![(String::from("\u{0}single"), data)],
             staged: HashMap::new(),
             committed_size: size,
+            has_commit: true,
             download_cache: None,
         }
     }
@@ -48,7 +52,7 @@ impl BlockBlob {
     /// Whether any block list has been committed (an uncommitted blob is
     /// invisible to readers).
     pub fn is_committed(&self) -> bool {
-        !self.committed.is_empty() || self.committed_size > 0
+        self.has_commit
     }
 
     /// Stage one block.
@@ -89,6 +93,7 @@ impl BlockBlob {
         }
         self.committed = resolved;
         self.committed_size = total;
+        self.has_commit = true;
         self.staged.clear();
         self.download_cache = None;
         Ok(())
@@ -247,12 +252,106 @@ mod tests {
         let mut b = BlockBlob::new();
         b.put_block("a".into(), bytes("data")).unwrap();
         b.put_block_list(&[]).unwrap();
+        assert!(b.is_committed(), "an empty commit is a blob");
         assert_eq!(b.block_count(), 0);
         assert_eq!(b.download(), Bytes::new());
+        assert_eq!(b.size(), 0);
         assert_eq!(b.staged_count(), 0);
+
+        // Staging nothing at all and committing `[]` is a blob too.
+        let mut b = BlockBlob::new();
+        assert!(!b.is_committed());
+        b.put_block_list(&[]).unwrap();
+        assert!(b.is_committed());
+        assert_eq!(b.download(), Bytes::new());
+    }
+
+    /// The naive block blob the proptest below compares against: the
+    /// committed list (`None` until the first commit), the staging area,
+    /// and no cache.
+    #[derive(Default)]
+    struct Model {
+        committed: Option<Vec<(String, Vec<u8>)>>,
+        staged: HashMap<String, Vec<u8>>,
+    }
+
+    impl Model {
+        fn blocks(&self) -> &[(String, Vec<u8>)] {
+            self.committed.as_deref().unwrap_or_default()
+        }
+
+        /// Staged first, then committed; `false` (and no change) if any id
+        /// resolves to neither.
+        fn put_block_list(&mut self, ids: &[String]) -> bool {
+            let resolve = |id: &String| {
+                let old = self.blocks().iter().find(|(cid, _)| cid == id);
+                self.staged.get(id).or(old.map(|(_, d)| d)).cloned()
+            };
+            let Some(new) = ids.iter().map(resolve).collect::<Option<Vec<_>>>() else {
+                return false;
+            };
+            self.committed = Some(ids.iter().cloned().zip(new).collect());
+            self.staged.clear();
+            true
+        }
+
+        fn content(&self) -> Vec<u8> {
+            self.blocks().iter().flat_map(|(_, d)| d.clone()).collect()
+        }
     }
 
     proptest::proptest! {
+        /// Interleaved staging, commits (empty lists, ids that resolve from
+        /// the committed list, unknown ids), block reads and downloads
+        /// match the model after every step. Ids 0–5 are staged at some
+        /// point; 6 and 7 never are, so a list naming one must fail and
+        /// leave everything as it was.
+        #[test]
+        fn prop_matches_reference_model(
+            ops in proptest::collection::vec(
+                (0u8..6, 0u8..6, 0usize..48, 0u8..=255,
+                 proptest::collection::vec(0u8..8, 0..5)), 0..60)
+        ) {
+            let mut blob = BlockBlob::new();
+            let mut model = Model::default();
+            for (kind, id, len, fill, list) in ops {
+                match kind {
+                    0..=2 => {
+                        let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                        model.staged.insert(id.to_string(), data.clone());
+                        blob.put_block(id.to_string(), Bytes::from(data)).unwrap();
+                    }
+                    3 | 4 => {
+                        let ids: Vec<String> = list.iter().map(u8::to_string).collect();
+                        let got = blob.put_block_list(&ids);
+                        if model.put_block_list(&ids) {
+                            proptest::prop_assert_eq!(got, Ok(()));
+                        } else {
+                            proptest::prop_assert!(
+                                matches!(got, Err(StorageError::UnknownBlockId(_))));
+                        }
+                    }
+                    _ => {
+                        let index = id as usize;
+                        match model.blocks().get(index) {
+                            Some((_, d)) => proptest::prop_assert_eq!(
+                                blob.get_block(index).unwrap().as_ref(), d.as_slice()),
+                            None => proptest::prop_assert!(blob.get_block(index).is_err()),
+                        }
+                    }
+                }
+                // A download after every step, so a stale cache cannot hide
+                // behind a later commit.
+                let content = model.content();
+                let got = blob.download();
+                proptest::prop_assert_eq!(got.as_ref(), content.as_slice());
+                proptest::prop_assert_eq!(blob.size() as usize, content.len());
+                proptest::prop_assert_eq!(blob.is_committed(), model.committed.is_some());
+                proptest::prop_assert_eq!(blob.block_count(), model.blocks().len());
+                proptest::prop_assert_eq!(blob.staged_count(), model.staged.len());
+            }
+        }
+
         /// However blocks are staged (order, restaging, shadowing), the
         /// committed content equals the concatenation of the final staged
         /// values in list order.

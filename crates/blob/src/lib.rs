@@ -11,6 +11,8 @@
 //! (container + blob name), the 60 MB/s per-blob pipe and every throttle
 //! live in `azsim-fabric`.
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod page;
 pub mod store;

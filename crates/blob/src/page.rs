@@ -120,7 +120,8 @@ impl PageBlob {
     /// A range that lies inside one extent — any aligned sub-range of an
     /// earlier `put_page` — is a zero-copy view of that upload's buffer.
     /// A range that spans several extents or touches a hole is assembled
-    /// into a fresh zeroed buffer.
+    /// front to back, each byte written once: extents are appended, holes
+    /// zero-filled.
     pub fn get_page(&self, offset: u64, length: u64) -> StorageResult<Bytes> {
         self.check_range(offset, length)?;
         let end = offset + length;
@@ -131,12 +132,15 @@ impl PageBlob {
                 return Ok(extent.slice((offset - start) as usize..(end - start) as usize));
             }
         }
-        let mut out = BytesMut::zeroed(length as usize);
+        let mut out = BytesMut::with_capacity(length as usize);
         for (start, extent) in hits {
             let (lo, hi) = (start.max(offset), (start + extent.len() as u64).min(end));
-            out[(lo - offset) as usize..(hi - offset) as usize]
-                .copy_from_slice(&extent[(lo - start) as usize..(hi - start) as usize]);
+            // Extents come in offset order and never overlap, so `out` only
+            // grows: first over the hole before this extent, then over it.
+            out.resize((lo - offset) as usize, 0);
+            out.extend_from_slice(&extent[(lo - start) as usize..(hi - start) as usize]);
         }
+        out.resize(length as usize, 0);
         Ok(out.freeze())
     }
 
@@ -257,6 +261,52 @@ mod tests {
         assert_eq!(
             b.get_page(3072, 2048).unwrap().as_ptr(),
             data[2048..].as_ptr()
+        );
+    }
+
+    /// Reads large enough to be assembled in a recycled buffer (`bytes`
+    /// parks buffers of 128 KiB and more; the proptest below stays under
+    /// that) must still read zeros in holes the recycler saw dirty.
+    #[test]
+    fn holes_read_zero_from_recycled_dirty_buffers() {
+        const MIB: u64 = 1 << 20;
+        // One dirty spare for each size the reads below ask for.
+        let dirty: Vec<*const u8> = [4 * MIB, 3 * MIB, 2 * MIB, MIB + 512]
+            .into_iter()
+            .map(|len| {
+                let mut buf = BytesMut::zeroed(len as usize);
+                buf.fill(0xFF);
+                buf.freeze().as_ptr()
+            })
+            .collect();
+        let mut b = PageBlob::create(4 * MIB).unwrap();
+        // hole [0, ½ M) · extent [½ M, 1½ M) · hole · extent [2½ M, 3½ M) · hole
+        let (first, second) = (MIB / 2, 5 * MIB / 2);
+        b.put_page(first, Bytes::from(vec![0x11u8; MIB as usize]))
+            .unwrap();
+        b.put_page(second, Bytes::from(vec![0x22u8; MIB as usize]))
+            .unwrap();
+        let mut expect = vec![0u8; 4 * MIB as usize];
+        expect[first as usize..(first + MIB) as usize].fill(0x11);
+        expect[second as usize..(second + MIB) as usize].fill(0x22);
+
+        let reads = [
+            (0, 4 * MIB),       // leading, middle and trailing hole
+            (0, 3 * MIB),       // ends inside the second extent
+            (MIB, 2 * MIB),     // starts inside the first extent
+            (first, MIB + 512), // one extent, then 512 bytes of hole
+        ];
+        for ((offset, len), spare) in reads.into_iter().zip(dirty) {
+            let got = b.get_page(offset, len).unwrap();
+            assert_eq!(got.as_ptr(), spare, "read was not assembled in a spare");
+            assert!(
+                got == expect[offset as usize..(offset + len) as usize],
+                "get_page({offset}, {len}) differs from the reference"
+            );
+        }
+        assert!(
+            b.download() == expect,
+            "download differs from the reference"
         );
     }
 

@@ -26,6 +26,15 @@ impl Blob {
             Blob::Page(p) => p.size(),
         }
     }
+
+    /// Whether readers can see the blob: a block blob with only staged
+    /// blocks does not exist yet.
+    fn is_committed(&self) -> bool {
+        match self {
+            Blob::Block(b) => b.is_committed(),
+            Blob::Page(_) => true,
+        }
+    }
 }
 
 /// All blob state of one storage account.
@@ -51,10 +60,15 @@ impl BlobStore {
         self.containers.contains_key(name)
     }
 
-    /// Names of blobs in a container (sorted, for determinism).
+    /// Names of the committed blobs in a container (sorted, for
+    /// determinism).
     pub fn list_blobs(&self, container: &str) -> StorageResult<Vec<String>> {
         let c = self.container(container)?;
-        let mut names: Vec<String> = c.keys().cloned().collect();
+        let mut names: Vec<String> = c
+            .iter()
+            .filter(|(_, b)| b.is_committed())
+            .map(|(name, _)| name.clone())
+            .collect();
         names.sort();
         Ok(names)
     }
@@ -71,9 +85,11 @@ impl BlobStore {
             .ok_or_else(|| StorageError::ContainerNotFound(name.to_owned()))
     }
 
+    /// A reader's view of a blob: staging-only block blobs are not found.
     fn blob(&self, container: &str, blob: &str) -> StorageResult<&Blob> {
         self.container(container)?
             .get(blob)
+            .filter(|b| b.is_committed())
             .ok_or_else(|| StorageError::BlobNotFound(blob.to_owned()))
     }
 
@@ -95,7 +111,8 @@ impl BlobStore {
         }
     }
 
-    /// Commit a block list.
+    /// Commit a block list. A commit that fails against a name never seen
+    /// before leaves no entry behind.
     pub fn put_block_list(
         &mut self,
         container: &str,
@@ -103,12 +120,15 @@ impl BlobStore {
         ids: &[String],
     ) -> StorageResult<()> {
         let c = self.container_mut(container)?;
-        match c
-            .entry(blob.to_owned())
-            .or_insert_with(|| Blob::Block(BlockBlob::new()))
-        {
-            Blob::Block(b) => b.put_block_list(ids),
-            Blob::Page(_) => Err(StorageError::WrongBlobType),
+        match c.get_mut(blob) {
+            Some(Blob::Block(b)) => b.put_block_list(ids),
+            Some(Blob::Page(_)) => Err(StorageError::WrongBlobType),
+            None => {
+                let mut b = BlockBlob::new();
+                b.put_block_list(ids)?;
+                c.insert(blob.to_owned(), Blob::Block(b));
+                Ok(())
+            }
         }
     }
 
@@ -139,8 +159,7 @@ impl BlobStore {
     /// Read one committed block by index.
     pub fn get_block(&self, container: &str, blob: &str, index: usize) -> StorageResult<Bytes> {
         match self.blob(container, blob)? {
-            Blob::Block(b) if b.is_committed() => b.get_block(index),
-            Blob::Block(_) => Err(StorageError::BlobNotFound(blob.to_owned())),
+            Blob::Block(b) => b.get_block(index),
             Blob::Page(_) => Err(StorageError::WrongBlobType),
         }
     }
@@ -148,10 +167,10 @@ impl BlobStore {
     /// Download a whole blob of either type.
     pub fn download(&mut self, container: &str, blob: &str) -> StorageResult<Bytes> {
         let c = self.container_mut(container)?;
-        match c.get_mut(blob) {
-            Some(Blob::Block(b)) if b.is_committed() => Ok(b.download()),
-            Some(Blob::Block(_)) | None => Err(StorageError::BlobNotFound(blob.to_owned())),
+        match c.get_mut(blob).filter(|b| b.is_committed()) {
+            Some(Blob::Block(b)) => Ok(b.download()),
             Some(Blob::Page(p)) => Ok(p.download()),
+            None => Err(StorageError::BlobNotFound(blob.to_owned())),
         }
     }
 
@@ -346,6 +365,53 @@ mod tests {
             s.put_block("nope", "b", "0".into(), Bytes::new()),
             Err(StorageError::ContainerNotFound(_))
         ));
+    }
+
+    #[test]
+    fn staging_only_blobs_are_invisible_to_readers() {
+        let mut s = store_with_container();
+        s.upload_block_blob("c", "done", Bytes::from_static(b"x"))
+            .unwrap();
+        s.put_block("c", "staged", "0".into(), Bytes::from_static(b"abc"))
+            .unwrap();
+        assert_eq!(s.list_blobs("c").unwrap(), vec!["done"]);
+        assert_eq!(
+            s.blob_size("c", "staged"),
+            Err(StorageError::BlobNotFound("staged".into()))
+        );
+        assert!(matches!(
+            s.get_page("c", "staged", 0, 512),
+            Err(StorageError::BlobNotFound(_))
+        ));
+        // The first commit brings it into the namespace.
+        s.put_block_list("c", "staged", &["0".into()]).unwrap();
+        assert_eq!(s.list_blobs("c").unwrap(), vec!["done", "staged"]);
+        assert_eq!(s.blob_size("c", "staged").unwrap(), 3);
+    }
+
+    #[test]
+    fn failed_first_commit_leaves_no_entry() {
+        let mut s = store_with_container();
+        assert_eq!(
+            s.put_block_list("c", "ghost", &["nope".into()]),
+            Err(StorageError::UnknownBlockId("nope".into()))
+        );
+        assert_eq!(s.list_blobs("c").unwrap(), Vec::<String>::new());
+        assert!(matches!(
+            s.delete("c", "ghost"),
+            Err(StorageError::BlobNotFound(_))
+        ));
+        // A page blob may take the name: no phantom block blob owns it.
+        s.create_page_blob("c", "ghost", 512).unwrap();
+    }
+
+    #[test]
+    fn empty_commit_creates_an_empty_blob() {
+        let mut s = store_with_container();
+        s.put_block_list("c", "empty", &[]).unwrap();
+        assert_eq!(s.download("c", "empty").unwrap(), Bytes::new());
+        assert_eq!(s.blob_size("c", "empty").unwrap(), 0);
+        assert_eq!(s.list_blobs("c").unwrap(), vec!["empty"]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -56,9 +56,11 @@ impl PayloadGen {
         let rng = &mut self.rng;
         let entry = self.cache.entry(size).or_insert_with(|| Blocks {
             blocks: std::array::from_fn(|_| {
-                let mut buf = vec![0u8; size];
+                // Built through `BytesMut` so that a rotation dropped at one
+                // ladder point is the next one's memory (see `shims/bytes`).
+                let mut buf = BytesMut::zeroed(size);
                 rng.fill_bytes(&mut buf);
-                Bytes::from(buf)
+                buf.freeze()
             }),
             next: 0,
         });
@@ -118,5 +120,37 @@ mod tests {
         // Caches are per-size: a different size starts its own rotation.
         assert_eq!(g.bytes(128).len(), 128);
         assert_eq!(g.bytes(512), first[1]);
+    }
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The generator's bytes as they were before the rotation was built
+    /// through `BytesMut` (fingerprints computed at that commit): the same
+    /// RNG stream drawn in the same order, whether or not the buffer is a
+    /// recycled one.
+    #[test]
+    fn payload_bytes_are_pinned() {
+        // A dirty 1 MiB spare for the generator to pick up.
+        let mut dirty = BytesMut::zeroed(1 << 20);
+        dirty.fill(0xFF);
+        drop(dirty.freeze());
+        assert_eq!(
+            fnv1a(&PayloadGen::new(2012, 0).bytes(1 << 20)),
+            0x5a60_7b0a_e905_0985
+        );
+        let mut g = PayloadGen::new(2012, 0);
+        let rotation: [u64; BLOCK_ROTATION] = std::array::from_fn(|_| fnv1a(&g.bytes(8192)));
+        assert_eq!(
+            rotation,
+            [
+                0xf2a6_eb70_a3d0_a40a,
+                0xe175_c5e0_0267_0137,
+                0x5df5_3f7d_63ad_3b0f,
+                0x89bc_1798_7d31_63ce,
+            ]
+        );
     }
 }

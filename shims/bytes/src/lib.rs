@@ -1,25 +1,134 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! [`Bytes`] is an immutable, cheaply-cloneable byte buffer backed by an
-//! `Arc<Vec<u8>>` plus a view window, so `clone()` and `slice()` are O(1)
-//! and never copy payload — the property the simulated storage services
-//! rely on when a 64 MB blob body flows through several layers. The `Arc`
-//! wraps the vector rather than a `[u8]` so that `Bytes::from(Vec<u8>)`
-//! and [`BytesMut::freeze`] adopt the vector's allocation: `Vec<u8> →
-//! Arc<[u8]>` has to reallocate and copy every byte to put the reference
-//! counts in front of them. [`BytesMut`] is a thin growable builder that
-//! freezes into a [`Bytes`].
+//! `Arc` of a vector plus a view window, so `clone()` and `slice()` are
+//! O(1) and never copy payload — the property the simulated storage
+//! services rely on when a 64 MB blob body flows through several layers.
+//! The `Arc` wraps the vector rather than a `[u8]` so that
+//! `Bytes::from(Vec<u8>)` and [`BytesMut::freeze`] adopt the vector's
+//! allocation: `Vec<u8> → Arc<[u8]>` has to reallocate and copy every byte
+//! to put the reference counts in front of them. [`BytesMut`] is a thin
+//! growable builder that freezes into a [`Bytes`].
+//!
+//! # Spare buffers (a divergence from upstream `bytes`)
+//!
+//! Upstream frees a buffer when its last view drops. Here the drop of the
+//! last view of a buffer whose capacity is at least `MIN_SPARE` (128 KiB)
+//! parks the vector in a per-thread spare list, and
+//! [`BytesMut::with_capacity`] / [`BytesMut::zeroed`] take the smallest
+//! spare with `request ≤ capacity ≤ 2 × request` before asking the
+//! allocator. `with_capacity` returns it empty and `zeroed` really
+//! zero-fills it, so recycling is invisible to callers; only addresses
+//! repeat.
+//!
+//! Why: glibc serves every request of 128 KiB or more with its own `mmap`
+//! and returns it with `munmap`, so a megabyte payload that is built, used
+//! once and dropped costs a page fault per 4 KiB each time round — most of
+//! the blob benchmark's host time was the kernel zeroing fresh pages. A
+//! parked buffer keeps its pages. Buffers below the threshold come from
+//! the allocator's own free lists already and pay one integer compare on
+//! their final drop.
+//!
+//! Bounds: the list holds at most `MAX_HELD` (256 MiB) of capacity per
+//! thread (a buffer that would exceed it is freed, as upstream would),
+//! never hands a request a buffer more than twice its size, and dies with
+//! its thread. A `Bytes` dropped on another thread parks there; one
+//! dropped while its thread's locals are being destroyed is simply freed.
+//! Both numbers are constants, not options: the first is the allocator's
+//! threshold, the second only bounds what an idle thread can sit on.
+
+#![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
+/// Smallest capacity worth parking: glibc's threshold for serving a
+/// request with its own `mmap`/`munmap` pair.
+const MIN_SPARE: usize = 128 * 1024;
+
+/// Most bytes of capacity one thread's spare list may hold.
+const MAX_HELD: usize = 256 * 1024 * 1024;
+
+/// One thread's parked vectors: empty, sorted by capacity, each of capacity
+/// at least [`MIN_SPARE`], `held` (the sum of capacities) at most
+/// [`MAX_HELD`].
+struct Spares {
+    held: usize,
+    bufs: Vec<Vec<u8>>,
+}
+
+thread_local! {
+    static SPARES: RefCell<Spares> = const {
+        RefCell::new(Spares { held: 0, bufs: Vec::new() })
+    };
+}
+
+impl Spares {
+    fn park(&mut self, mut v: Vec<u8>) {
+        let cap = v.capacity();
+        if self.held + cap > MAX_HELD {
+            return;
+        }
+        v.clear();
+        let at = self.bufs.partition_point(|b| b.capacity() < cap);
+        self.bufs.insert(at, v);
+        self.held += cap;
+    }
+
+    /// The smallest spare with `request ≤ capacity ≤ 2 × request`.
+    fn take(&mut self, request: usize) -> Option<Vec<u8>> {
+        let at = self.bufs.partition_point(|b| b.capacity() < request);
+        if self.bufs.get(at)?.capacity() > request.saturating_mul(2) {
+            return None;
+        }
+        let v = self.bufs.remove(at);
+        self.held -= v.capacity();
+        Some(v)
+    }
+}
+
+/// Run `f` on this thread's spare list, unless the list cannot be had: the
+/// thread's locals are already destroyed. Never panics, so a `Drop` may
+/// call it.
+fn with_spares<R>(f: impl FnOnce(&mut Spares) -> R) -> Option<R> {
+    SPARES
+        .try_with(|s| s.try_borrow_mut().ok().map(|mut spares| f(&mut spares)))
+        .ok()
+        .flatten()
+}
+
+/// This thread's best-fitting spare for `request`, empty. Requests under
+/// [`MIN_SPARE`] can match nothing worth having and never look.
+fn take_spare(request: usize) -> Option<Vec<u8>> {
+    if request < MIN_SPARE {
+        return None;
+    }
+    with_spares(|s| s.take(request)).flatten()
+}
+
+/// The vector behind a [`Bytes`]. It is dropped when the last view of it
+/// is, and that drop parks a large vector instead of freeing it.
+#[derive(Default)]
+struct Storage(Vec<u8>);
+
+impl Drop for Storage {
+    fn drop(&mut self) {
+        if self.0.capacity() >= MIN_SPARE {
+            let v = std::mem::take(&mut self.0);
+            // Without a list to park it in, `v` is freed with the closure.
+            let _ = with_spares(|s| s.park(v));
+        }
+    }
+}
+
 /// An immutable, reference-counted byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    data: Arc<Storage>,
     start: usize,
     end: usize,
 }
@@ -80,7 +189,7 @@ impl Bytes {
 
     /// The view as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data.0[self.start..self.end]
     }
 }
 
@@ -89,7 +198,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::new(v),
+            data: Arc::new(Storage(v)),
             start: 0,
             end,
         }
@@ -220,16 +329,25 @@ impl BytesMut {
         BytesMut::default()
     }
 
-    /// An empty buffer with reserved capacity.
+    /// An empty buffer with reserved capacity (a spare buffer when one
+    /// fits, see the crate docs).
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
-            buf: Vec::with_capacity(cap),
+            buf: take_spare(cap).unwrap_or_else(|| Vec::with_capacity(cap)),
         }
     }
 
-    /// A zero-filled buffer of length `len`.
+    /// A zero-filled buffer of length `len` (a spare buffer, filled with
+    /// zeros here, when one fits).
     pub fn zeroed(len: usize) -> Self {
-        BytesMut { buf: vec![0; len] }
+        let buf = match take_spare(len) {
+            Some(mut spare) => {
+                spare.resize(len, 0);
+                spare
+            }
+            None => vec![0; len],
+        };
+        BytesMut { buf }
     }
 
     /// Append a slice.
@@ -322,6 +440,115 @@ mod tests {
         let s = String::from("a string long enough to live on the heap");
         let p = s.as_ptr();
         assert_eq!(Bytes::from(s).as_ptr(), p, "From<String> must not copy");
+    }
+
+    // Each `#[test]` runs on its own thread, so each starts with an empty
+    // spare list.
+    fn held() -> usize {
+        SPARES.with(|s| s.borrow().held)
+    }
+
+    const MIB: usize = 1 << 20;
+
+    #[test]
+    fn a_dropped_large_buffer_is_the_next_one_and_comes_back_clean() {
+        let n = MIB;
+        let mut m = BytesMut::zeroed(n);
+        m.fill(0xAB);
+        let dirty = m.freeze();
+        let p = dirty.as_ptr();
+        drop(dirty);
+        // Were the buffer freed, this same-size request is the one the
+        // allocator would hand its address to.
+        let _decoy = vec![1u8; n];
+
+        let m = BytesMut::zeroed(n);
+        assert_eq!(m.as_ptr(), p, "zeroed must take the parked buffer");
+        assert_eq!(m.len(), n);
+        assert!(m.iter().all(|&b| b == 0), "a recycled buffer reads zero");
+        drop(m.freeze());
+
+        let m = BytesMut::with_capacity(n);
+        assert_eq!(m.as_ptr(), p, "with_capacity must take the parked buffer");
+        assert_eq!(m.len(), 0);
+        assert!(m.is_empty());
+
+        // A vector adopted through `From<Vec<u8>>` is parked too.
+        let v = vec![0xCDu8; n];
+        let p = v.as_ptr();
+        drop(Bytes::from(v));
+        assert_eq!(BytesMut::with_capacity(n).as_ptr(), p);
+    }
+
+    #[test]
+    fn only_the_last_view_of_a_large_buffer_parks_it() {
+        drop(Bytes::from(vec![7u8; MIN_SPARE - 1]));
+        assert_eq!(held(), 0, "a buffer under the threshold is not kept");
+
+        let whole = Bytes::from(vec![7u8; MIN_SPARE]);
+        let copy = whole.clone();
+        let part = whole.slice(16..32);
+        drop(whole);
+        drop(copy);
+        assert_eq!(held(), 0, "a live slice keeps the buffer out of the list");
+        assert_eq!(&part[..], &[7u8; 16]);
+        drop(part);
+        assert_eq!(held(), MIN_SPARE);
+    }
+
+    #[test]
+    fn the_list_is_bounded_and_fits_requests_to_spares() {
+        let big = 30 * MIB;
+        drop(Bytes::from(vec![1u8; big]));
+        assert_eq!(held(), big);
+        assert!(
+            BytesMut::with_capacity(MIB).buf.capacity() < big,
+            "a 1 MiB request never receives a 30 MiB spare"
+        );
+        assert_eq!(held(), big, "the large spare stays for a large request");
+        assert!(BytesMut::with_capacity(big - MIB).buf.capacity() >= big);
+        assert_eq!(held(), 0);
+
+        // Park one more buffer than the cap has room for. `with_capacity`
+        // touches no page, so this costs address space, not memory.
+        let each = 32 * MIB;
+        let bufs: Vec<Bytes> = (0..MAX_HELD / each + 1)
+            .map(|_| Bytes::from(Vec::with_capacity(each)))
+            .collect();
+        drop(bufs);
+        assert_eq!(held(), MAX_HELD);
+    }
+
+    #[test]
+    fn the_smallest_spare_that_fits_is_taken() {
+        for cap in [2 * MIB, MIB + 4096, MIB + MIB / 2, MIB - 4096] {
+            drop(Bytes::from(Vec::with_capacity(cap)));
+        }
+        assert_eq!(BytesMut::with_capacity(MIB).buf.capacity(), MIB + 4096);
+        assert_eq!(BytesMut::with_capacity(MIB).buf.capacity(), MIB + MIB / 2);
+        assert_eq!(BytesMut::with_capacity(MIB).buf.capacity(), 2 * MIB);
+        assert_eq!(held(), MIB - 4096, "too small for the request: left alone");
+    }
+
+    #[test]
+    fn spares_belong_to_the_thread_that_dropped_them() {
+        let here = Bytes::from(vec![3u8; MIB]);
+        let away = Bytes::from(vec![4u8; MIB]);
+        thread_local! {
+            // Dropped while the thread's locals are being destroyed, possibly
+            // after its spare list is gone.
+            static LATE: RefCell<Option<Bytes>> = const { RefCell::new(None) };
+        }
+        std::thread::spawn(move || {
+            LATE.with(|l| *l.borrow_mut() = Some(Bytes::from(vec![5u8; MIB])));
+            drop(away);
+            assert_eq!(held(), MIB);
+        })
+        .join()
+        .expect("dropping a large buffer at thread exit must not panic");
+        assert_eq!(held(), 0, "another thread's drops are not ours");
+        drop(here);
+        assert_eq!(held(), MIB);
     }
 
     #[test]
