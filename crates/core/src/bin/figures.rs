@@ -3,8 +3,8 @@
 //! ```text
 //! figures TARGET... [--scale S] [--workers 1,2,4,...] [--seed N] [--csv DIR]
 //!         [--threads N] [--shards N] [--backend was,s3,gcs,file|all]
-//!         [--ladder quick|full] [--timeline] [--extrapolate]
-//!         [--verify-seeds N] [--naive] [--expect-violation]
+//!         [--timeline] [--extrapolate] [--verify-seeds N] [--naive]
+//!         [--expect-violation]
 //! ```
 //!
 //! The targets are the rows of [`TARGETS`] plus `all`; with no target the
@@ -40,13 +40,11 @@
 //! `bottlenecks.md` summary table. The `fleet` target (opt-in) sweeps the
 //! multi-tenant fleet scenario — the partition-parallel workload where
 //! sharding gives real speedup — over the tenant ladder. The opt-in
-//! `verify` and `bench` targets are described at [`run_verify`] and
-//! [`run_bench`].
+//! `verify` target is described at [`run_verify`].
 
 use azsim_fabric::BackendKind;
 use azurebench::{
-    alg1_blob, alg3_queue, alg4_queue, alg5_table, benchhist, chaos, fig9, verify, BenchConfig,
-    Figure,
+    alg1_blob, alg3_queue, alg4_queue, alg5_table, chaos, fig9, verify, BenchConfig, Figure,
 };
 use std::cell::OnceCell;
 use std::time::Instant;
@@ -82,7 +80,6 @@ const TARGETS: &[Target] = &[
     Target { name: "chaos",      in_all: true,  per_backend: true,  run: run_chaos },
     Target { name: "fleet",      in_all: false, per_backend: true,  run: run_fleet },
     Target { name: "verify",     in_all: false, per_backend: true,  run: run_verify },
-    Target { name: "bench",      in_all: false, per_backend: false, run: run_bench },
 ];
 
 fn names(targets: impl Iterator<Item = &'static Target>) -> Vec<&'static str> {
@@ -93,7 +90,7 @@ fn usage() -> String {
     format!(
         "usage: figures [{}|all]... \
          [--scale S] [--workers 1,2,...] [--seed N] [--csv DIR] [--threads N] [--shards N] \
-         [--backend was,s3,gcs,file|all] [--ladder quick|full] \
+         [--backend was,s3,gcs,file|all] \
          [--timeline] [--extrapolate] [--verify-seeds N] [--naive] [--expect-violation]\n\
          \u{20}      (`all` leaves out the opt-in targets: {})",
         names(TARGETS.iter()).join("|"),
@@ -116,7 +113,6 @@ struct Args {
     verify_seeds: usize,
     naive: bool,
     expect_violation: bool,
-    quick_ladder: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -134,7 +130,6 @@ fn parse_args() -> Result<Args, String> {
         verify_seeds: 50,
         naive: false,
         expect_violation: false,
-        quick_ladder: false,
     };
     let mut requested: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -142,7 +137,13 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;
-                args.scale = v.parse().map_err(|_| format!("bad scale {v:?}"))?;
+                // 0, a negative or NaN would trip `with_scale`'s assert; an
+                // infinite scale never finishes.
+                args.scale = v
+                    .parse()
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| format!("bad scale {v:?} (expected a finite number above 0)"))?;
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
@@ -201,14 +202,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--naive" => args.naive = true,
             "--expect-violation" => args.expect_violation = true,
-            "--ladder" => {
-                let v = it.next().ok_or("--ladder needs quick|full")?;
-                args.quick_ladder = match v.as_str() {
-                    "quick" => true,
-                    "full" => false,
-                    _ => return Err(format!("bad ladder {v:?} (expected quick or full)")),
-                };
-            }
             t if !t.starts_with('-') => requested.push(t.to_owned()),
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -496,185 +489,6 @@ fn run_verify(c: &Ctx) -> Result<(), String> {
             }
         }
     }
-    Ok(())
-}
-
-/// A free model: every request completes in 1 µs of virtual time, so the
-/// measured cost is the engine itself (event heap, batch-wake rounds,
-/// actor handoffs) — the overhead every simulated storage call pays.
-struct NullModel;
-
-impl azsim_core::runtime::Model for NullModel {
-    type Req = u64;
-    type Resp = u64;
-    fn handle(
-        &mut self,
-        now: azsim_core::SimTime,
-        _actor: azsim_core::runtime::ActorId,
-        req: u64,
-    ) -> (azsim_core::SimTime, u64) {
-        (now + std::time::Duration::from_micros(1), req)
-    }
-}
-
-impl azsim_core::ShardableModel for NullModel {
-    // Stateless: every partition is the same free model, so the striped
-    // engine ladder (one partition per actor) splits trivially.
-    fn split(self, partitions: u32) -> Vec<Self> {
-        (0..partitions).map(|_| NullModel).collect()
-    }
-    fn merge(_parts: Vec<Self>) -> Self {
-        NullModel
-    }
-}
-
-/// One measured rung of the engine ladder.
-struct EngineRun {
-    ops: u64,
-    wall: f64,
-    /// Events processed per executor shard (length = shard count).
-    shard_events: Vec<u64>,
-    /// Mean lookahead-window multiple across shards that ran windows
-    /// (0.0 for serial and free-run rungs).
-    window_multiple: f64,
-}
-
-/// Measure raw engine throughput: `actors` workers each issuing `per_actor`
-/// back-to-back requests against [`NullModel`]. With `shards == 1` this is
-/// the serial coroutine executor (the committed-baseline path); with more,
-/// the sharded executor under a striped one-partition-per-actor plan —
-/// free-running (embarrassingly parallel, no barriers) unless `windowed`,
-/// which adds a lookahead hop plus adaptive window tuning so the rung
-/// exercises the synchronized engine path.
-fn engine_ops(actors: usize, per_actor: u64, shards: u32, windowed: bool) -> EngineRun {
-    let body = move |ctx: azsim_core::ActorCtx<NullModel>| async move {
-        let mut acc = 0u64;
-        for i in 0..per_actor {
-            acc = acc.wrapping_add(ctx.call(i).await);
-        }
-        acc
-    };
-    let t = Instant::now();
-    let report = if shards <= 1 {
-        azsim_core::Simulation::new(NullModel, 1).run_workers(actors, body)
-    } else {
-        let mut plan = azsim_core::ShardPlan::striped(actors, actors as u32, shards);
-        if windowed {
-            plan = plan
-                .with_hop(std::time::Duration::from_micros(2))
-                .with_window_tuning(azsim_core::WindowTuning::Adaptive { target: 0.25 });
-        }
-        azsim_core::ShardedSimulation::new(NullModel, 1, plan).run_workers(body)
-    };
-    let active: Vec<f64> = report
-        .window_stats
-        .iter()
-        .filter(|w| w.windows > 0)
-        .map(|w| w.mean_multiple)
-        .collect();
-    let window_multiple = if active.is_empty() {
-        0.0
-    } else {
-        active.iter().sum::<f64>() / active.len() as f64
-    };
-    EngineRun {
-        ops: report.requests,
-        wall: t.elapsed().as_secs_f64(),
-        shard_events: report.shard_events,
-        window_multiple,
-    }
-}
-
-/// The engine ladder: (actors, back-to-back requests per actor). It climbs
-/// through 100 000 actors to a 1 000 000-actor smoke rung; per-actor ops
-/// shrink past 512 so every rung stays near a constant 25.6 M total ops
-/// (25 M at the million-actor rung).
-const LADDER: [(usize, u64); 9] = [
-    (1, 50_000),
-    (8, 50_000),
-    (32, 50_000),
-    (128, 50_000),
-    (512, 50_000),
-    (2_048, 12_500),
-    (10_000, 2_560),
-    (100_000, 256),
-    (1_000_000, 25),
-];
-/// `--ladder quick`: the two cheapest representative rungs, with the same
-/// (actors, per-actor) tuples as the full ladder so history series stay
-/// comparable across ladder modes.
-const QUICK: [(usize, u64); 2] = [(1, 50_000), (128, 50_000)];
-
-/// The `bench` target: climb the engine ladder (serial always; sharded
-/// rungs too when `--shards` > 1) and append one
-/// `azurebench-bench-history/v1` row per rung, with host/commit provenance,
-/// to `BENCH_history.jsonl` (in the `--csv` directory if given, else the
-/// working directory) — the only record of the run, and what
-/// `bench_check trend` gates on. The append refuses runs older than the
-/// history tail: a skewed clock or a replayed run must not corrupt the
-/// trend order. The ladder's model is backend-free, so the target runs
-/// once per invocation whatever `--backend` says.
-fn run_bench(c: &Ctx) -> Result<(), String> {
-    let cfg = &c.cfg;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let ladder: &[(usize, u64)] = if c.args.quick_ladder { &QUICK } else { &LADDER };
-    let mut rungs: Vec<(usize, u64, u32, bool)> =
-        ladder.iter().map(|&(a, p)| (a, p, 1, false)).collect();
-    if cfg.shards > 1 {
-        // Sharded rungs from 8 actors up. Rungs below a million actors
-        // free-run (one partition per actor, no barriers); the
-        // million-actor smoke rung runs windowed under adaptive lookahead
-        // so the flagship rung exercises the synchronized engine path.
-        rungs.extend(
-            ladder
-                .iter()
-                .filter(|&&(a, _)| a >= 8)
-                .map(|&(a, p)| (a, p, cfg.shards, a >= 1_000_000)),
-        );
-    }
-
-    // One timestamp for every rung: it is the run key `bench_check trend`
-    // groups rows by.
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let (host, commit) = (benchhist::detect_host(), benchhist::detect_commit());
-    let mut rows = Vec::new();
-    for (actors, per_actor, shards, windowed) in rungs {
-        let run = engine_ops(actors, per_actor, shards, windowed);
-        let (ops, wall) = (run.ops, run.wall);
-        let rate = ops as f64 / wall;
-        eprintln!(
-            "# engine: {actors} actors x {shards} shard(s){}, {ops} simulated ops \
-             in {wall:.3}s = {rate:.0} ops/s",
-            if windowed {
-                format!(" (windowed, mean multiple {:.3})", run.window_multiple)
-            } else {
-                String::new()
-            }
-        );
-        rows.push(benchhist::HistoryRow {
-            unix_ts: ts,
-            host: host.clone(),
-            commit: commit.clone(),
-            backend: benchhist::DEFAULT_BACKEND.to_owned(),
-            scale: cfg.scale,
-            seed: cfg.seed,
-            actors: actors as u64,
-            shards: shards as u64,
-            cores: cores as u64,
-            simulated_ops: ops,
-            // Microsecond / 0.1 op/s resolution, like every committed row.
-            wall_seconds: (wall * 1e6).round() / 1e6,
-            ops_per_second: (rate * 10.0).round() / 10.0,
-            per_shard_events: run.shard_events,
-        });
-    }
-
-    let dir = c.args.csv_dir.as_deref().unwrap_or(".");
-    let path = format!("{dir}/BENCH_history.jsonl");
-    benchhist::append_rows(&path, &rows)?;
-    eprintln!("appended {path} ({} rung(s) at unix_ts {ts})", rows.len());
     Ok(())
 }
 

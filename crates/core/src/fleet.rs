@@ -150,8 +150,8 @@ pub fn figure_fleet(cfg: &BenchConfig) -> Vec<Figure> {
 /// busiest shard's event count, which falls as shards are added and shows
 /// the striped plan actually spreading load; `history-stable` is 1 when
 /// the `(time, actor, seq)` observable-history fingerprint matches the
-/// serial reference. Wall-clock scaling is measured by the `bench` target
-/// (`BENCH_history.jsonl`), never committed in goldens.
+/// serial reference. Wall-clock scaling is measured by `azbench`
+/// (`simcore.shard.*`), never committed in goldens.
 pub fn figure_fleet_scaling(cfg: &BenchConfig) -> Figure {
     let (tenants, workers_per_tenant) = (8u32, 4usize);
     let mut throughput = Series::new("ops-per-vsec");

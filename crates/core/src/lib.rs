@@ -15,7 +15,7 @@
 //! | Fig. 7 (queue, shared queue) | [`alg4_queue`] | `figures fig7` |
 //! | Fig. 8 (table CRUD) | [`alg5_table`] | `figures fig8` |
 //! | Fig. 9 (per-op comparison) | [`fig9`] | `figures fig9` |
-//! | Alg. 2 (queue barrier) | `azsim_framework::barrier` | tests/benches |
+//! | Alg. 2 (queue barrier) | `azsim_framework::barrier` | tests |
 //!
 //! Run `cargo run --release -p azurebench --bin figures -- all` to print
 //! every series; pass `--scale 0.1` to shrink the workload for quick runs.
@@ -24,7 +24,6 @@ pub mod alg1_blob;
 pub mod alg3_queue;
 pub mod alg4_queue;
 pub mod alg5_table;
-pub mod benchhist;
 pub mod bottleneck;
 pub mod chaos;
 pub mod config;
