@@ -14,10 +14,11 @@
 //! entries, with payloads parked in a separate slab and addressed by slot:
 //!
 //! * Sift operations move 32-byte key entries, never the payload — a
-//!   [`crate::runtime`] `Arrival` carries the whole model request inline, so
-//!   keeping payloads out of the sift path is what keeps a deep heap cheap
-//!   at high actor counts (the engine-ladder cliff past 32 actors was
-//!   dominated by `BinaryHeap` moving fat entries across `log n` levels).
+//!   [`crate::runtime`] `Deliver` carries the whole model response inline
+//!   (and an `Arrival` the executor cannot serve in place, the whole
+//!   request), so keeping payloads out of the sift path is what keeps a deep
+//!   heap cheap at high actor counts (the engine-ladder cliff past 32 actors
+//!   was dominated by `BinaryHeap` moving fat entries across `log n` levels).
 //! * A 4-ary shape halves the number of levels versus a binary heap and the
 //!   four children of a node share one or two cache lines, trading a few
 //!   extra comparisons for far fewer cache misses.
@@ -88,6 +89,13 @@ impl<T> Default for EventHeap<T> {
 
 const ARITY: usize = 4;
 
+#[cfg(test)]
+thread_local! {
+    /// Events pushed by this thread, across every heap: lets executor tests
+    /// pin how many events a schedule routes through the heap.
+    pub(crate) static PUSHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl<T> EventHeap<T> {
     /// Create an empty heap.
     pub fn new() -> Self {
@@ -124,6 +132,8 @@ impl<T> EventHeap<T> {
             key.time,
             self.watermark
         );
+        #[cfg(test)]
+        PUSHES.with(|p| p.set(p.get() + 1));
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slab[s as usize] = Some(payload);
@@ -167,6 +177,8 @@ impl<T> EventHeap<T> {
             if batch_min.is_none_or(|m| key < m) {
                 batch_min = Some(key);
             }
+            #[cfg(test)]
+            PUSHES.with(|p| p.set(p.get() + 1));
             let slot = match self.free.pop() {
                 Some(s) => {
                     self.slab[s as usize] = Some(payload);
@@ -257,6 +269,13 @@ impl<T> EventHeap<T> {
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.front().map(|e| e.key.time)
+    }
+
+    /// Key of the earliest pending event, if any — [`Self::peek`] without
+    /// touching the payload slab.
+    #[inline]
+    pub(crate) fn peek_key(&self) -> Option<EventKey> {
+        self.front().map(|e| e.key)
     }
 
     /// The earliest pending event without removing it. The scheduler uses

@@ -15,18 +15,24 @@
 //!
 //! 1. **Launch.** Every actor future is created, then polled once, in
 //!    actor-id order, before any event is popped. An actor runs until its
-//!    first timed action (`call`/`sleep`), whose future pushes one event
+//!    first timed action (`call`/`sleep`), whose future schedules one event
 //!    keyed `(time, actor, seq)` on its *first* poll and returns `Pending` —
 //!    the exact "submit all first events, then pop" discipline of the
 //!    one-at-a-time reference interpreter.
 //! 2. **Event loop.** Events pop one at a time in `(time, actor, seq)`
-//!    order. An `Arrival` is handed to [`Model::handle`] and its response
-//!    scheduled as a `Deliver` at the completion time. A `Deliver`/`Timer`
-//!    advances the target actor's clock, deposits the wakeup in its mailbox
-//!    slot, and polls that actor's future in place with a no-op waker
-//!    ([`std::task::Waker::noop`]); the future takes the mail, runs user
-//!    code until the next timed action (pushing the next event), and returns
-//!    `Pending` again — or completes.
+//!    order. A `Deliver`/`Timer` advances the target actor's clock, deposits
+//!    the wakeup in its mailbox slot, and polls that actor's future in place
+//!    with a no-op waker ([`std::task::Waker::noop`]); the future takes the
+//!    mail, runs user code until the next timed action (scheduling the next
+//!    event), and returns `Pending` again — or completes. A `sleep` pushes a
+//!    `Timer`. A `call` on the caller's home partition whose arrival key
+//!    sorts before every pending event — the steady state of a closed loop,
+//!    where the caller was just woken by the earliest event — is **served in
+//!    place**: the arrival is counted as fired and handed to
+//!    [`Model::handle`] at once, so the reply `Deliver` is the call's only
+//!    heap event. Any other call pushes an `Arrival`, which the loop hands
+//!    to the model when it pops and answers with a `Deliver` at the
+//!    completion time. Both routes fire the same keys in the same order.
 //!
 //! ## Virtual partitions and routing
 //!
@@ -62,9 +68,11 @@
 //!
 //! ## Invariants
 //!
-//! * Every `Pending` poll of an actor future has pushed exactly one event
-//!   for that actor first (enforced by the [`Wait`] future). Hence an empty
-//!   heap with unfinished actors is a genuine deadlock and panics.
+//! * Every `Pending` poll of an actor future has scheduled exactly one
+//!   pending event for that actor first (enforced by the [`Wait`] future):
+//!   its `Timer`, its `Arrival`, or — for a call served in place — its reply
+//!   `Deliver`. Hence an empty heap with unfinished actors is a genuine
+//!   deadlock and panics.
 //! * A `call` pre-allocates *two* sequence numbers — the arrival's and the
 //!   reply's. The calling actor is blocked until the reply, so nothing else
 //!   can allocate for it in between and the keys are identical to
@@ -255,12 +263,19 @@ impl<M: Model> ExecState<M> {
             }
         }
         let (k, payload) = self.heap.pop()?;
+        self.record(k);
+        Some((k, payload))
+    }
+
+    /// Count one fired event in the event total, end time and — when
+    /// enabled — the observable history.
+    #[inline]
+    fn record(&mut self, k: EventKey) {
         self.events += 1;
         self.end_time = k.time;
         if let Some(h) = &mut self.history {
             h.push(k);
         }
-        Some((k, payload))
     }
 
     /// Schedule the arrival for a [`ActorCtx::call`]: allocate the arrival
@@ -269,58 +284,86 @@ impl<M: Model> ExecState<M> {
     /// or into the owning shard's outbox. `local` is the caller's dense
     /// local index (its per-actor state); `actor` its global id (the event
     /// key).
+    ///
+    /// A home-partition arrival that sorts before every pending event is
+    /// **served in place** instead: it is exactly the event the loop would
+    /// pop next, because nothing runs between an actor returning `Pending`
+    /// and the next pop, and every later key the caller can push is larger.
+    /// Inside a shard window, foreign events lie at or beyond the horizon,
+    /// so the argument holds there too. The arrival still counts as a fired
+    /// event, so `events` and the history are those of the heap path.
     pub(crate) fn push_call(&mut self, actor: ActorId, local: usize, home_slot: u32, req: M::Req) {
         let a = local;
         let seq = self.seq[a];
         self.seq[a] += 2;
         let now = self.actor_time[a];
-        let Some(rt) = &mut self.route else {
-            let k = EventKey {
-                time: now,
-                actor,
-                seq,
-            };
-            self.heap.push(
-                k,
-                Payload::Arrival {
-                    part: 0,
-                    reply_seq: seq + 1,
-                    req,
-                },
-            );
-            return;
-        };
-        let home = rt.home[actor.0];
-        let part = self.models[home_slot as usize]
-            .partition_of(&req)
-            .unwrap_or(home);
-        let delay = if part == home {
-            Duration::ZERO
-        } else {
-            rt.hop.expect(
-                "cross-partition call on a plan with no lookahead hop \
-                 (ShardPlan::with_hop)",
-            )
+        // `(partition, inbound network leg)` of a foreign-partition call;
+        // `None` for the caller's home partition.
+        let foreign = match &self.route {
+            None => None,
+            Some(rt) => self.models[home_slot as usize]
+                .partition_of(&req)
+                .filter(|&p| p != rt.home[actor.0])
+                .map(|p| {
+                    let hop = rt.hop.expect(
+                        "cross-partition call on a plan with no lookahead hop \
+                         (ShardPlan::with_hop)",
+                    );
+                    (p, hop)
+                }),
         };
         let k = EventKey {
-            time: now + delay,
+            time: foreign.map_or(now, |(_, hop)| now + hop),
             actor,
             seq,
+        };
+        if foreign.is_none() && self.heap.peek_key().is_none_or(|front| k < front) {
+            // The home partition's sub-model is the caller's `home_slot`, on
+            // the caller's own shard, and the reply pays no network leg.
+            self.record(k);
+            let (done, resp) = self.handle(home_slot as usize, k, req);
+            let dk = EventKey {
+                time: done,
+                seq: seq + 1,
+                ..k
+            };
+            self.heap.push(dk, Payload::Deliver(resp));
+            return;
+        }
+        let part = match (&self.route, foreign) {
+            (_, Some((p, _))) => p,
+            (Some(rt), None) => rt.home[actor.0],
+            (None, None) => 0,
         };
         let payload = Payload::Arrival {
             part,
             reply_seq: seq + 1,
             req,
         };
-        let dest = *rt
-            .owner
-            .get(part as usize)
-            .unwrap_or_else(|| panic!("partition_of returned out-of-range partition {part}"));
-        if dest == rt.self_shard {
-            self.heap.push(k, payload);
-        } else {
-            rt.outbox[dest as usize].push((k, payload));
+        if let Some(rt) = &mut self.route {
+            let dest = *rt
+                .owner
+                .get(part as usize)
+                .unwrap_or_else(|| panic!("partition_of returned out-of-range partition {part}"));
+            if dest != rt.self_shard {
+                rt.outbox[dest as usize].push((k, payload));
+                return;
+            }
         }
+        self.heap.push(k, payload);
+    }
+
+    /// Hand the arrival `k` to local sub-model `slot`; return its completion
+    /// time and response.
+    #[inline]
+    fn handle(&mut self, slot: usize, k: EventKey, req: M::Req) -> (SimTime, M::Resp) {
+        self.requests += 1;
+        let (done, resp) = self.models[slot].handle(k.time, k.actor, req);
+        assert!(
+            done >= k.time,
+            "model completed a request before it arrived"
+        );
+        (done, resp)
     }
 
     /// Schedule a timer `delay` after `actor`'s clock (`local` is the
@@ -341,7 +384,6 @@ impl<M: Model> ExecState<M> {
     /// the inbound one (a foreign-partition call), keeping the timing a pure
     /// function of the virtual plan.
     pub(crate) fn process_arrival(&mut self, k: EventKey, part: u32, reply_seq: u64, req: M::Req) {
-        self.requests += 1;
         let (slot, cross) = match &self.route {
             None => (0, false),
             Some(rt) => (
@@ -350,11 +392,7 @@ impl<M: Model> ExecState<M> {
                 part != rt.home[k.actor.0],
             ),
         };
-        let (done, resp) = self.models[slot].handle(k.time, k.actor, req);
-        assert!(
-            done >= k.time,
-            "model completed a request before it arrived"
-        );
+        let (done, resp) = self.handle(slot, k, req);
         let time = if cross {
             done + self
                 .route
@@ -520,9 +558,10 @@ enum Pending<M: Model> {
     Sleep(Duration),
 }
 
-/// The one awaitable in the system: on its first poll it pushes the actor's
-/// next event and returns `Pending`; when the event loop deposits the wakeup
-/// in the actor's mailbox and re-polls, it takes the mail and completes.
+/// The one awaitable in the system: on its first poll it schedules the
+/// actor's next event and returns `Pending`; when the event loop deposits
+/// the wakeup in the actor's mailbox and re-polls, it takes the mail and
+/// completes.
 struct Wait<'a, M: Model> {
     ctx: &'a ActorCtx<M>,
     pending: Option<Pending<M>>,
@@ -949,10 +988,12 @@ mod tests {
     use rand::Rng;
 
     /// A model that echoes the request after a fixed latency plus FIFO
-    /// queueing on a single shared server.
+    /// queueing on a single shared server — or, for requests divisible by a
+    /// nonzero `instant_every`, at once, in zero virtual time.
     struct EchoModel {
         server: crate::resource::FifoServer,
         service: Duration,
+        instant_every: u32,
         handled: Vec<(u64, usize, u32)>,
     }
 
@@ -961,6 +1002,9 @@ mod tests {
         type Resp = (u32, SimTime);
         fn handle(&mut self, now: SimTime, actor: ActorId, req: u32) -> (SimTime, Self::Resp) {
             self.handled.push((now.as_nanos(), actor.0, req));
+            if self.instant_every != 0 && req.is_multiple_of(self.instant_every) {
+                return (now, (req, now));
+            }
             let (_, end) = self.server.admit(now, self.service);
             (end, (req, end))
         }
@@ -970,8 +1014,234 @@ mod tests {
         EchoModel {
             server: crate::resource::FifoServer::new(),
             service: Duration::from_millis(service_ms),
+            instant_every: 0,
             handled: Vec::new(),
         }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Call(u32),
+        SleepUs(u64),
+    }
+
+    fn count_steps(programs: &[Vec<Step>]) -> (u64, u64) {
+        let calls = programs
+            .iter()
+            .flatten()
+            .filter(|s| matches!(s, Step::Call(_)))
+            .count() as u64;
+        let total: u64 = programs.iter().map(|p| p.len() as u64).sum();
+        (calls, total - calls)
+    }
+
+    /// What a step-program run observes: the model's arrival trace, each
+    /// actor's clock after every step, end time, requests, events and the
+    /// history fingerprint.
+    type StepTrace = (
+        Vec<(u64, usize, u32)>,
+        Vec<Vec<u64>>,
+        SimTime,
+        u64,
+        u64,
+        Option<u64>,
+    );
+
+    /// Run step programs on this executor; also returns the number of
+    /// events pushed onto the heap.
+    fn run_steps(model: EchoModel, programs: &[Vec<Step>]) -> (StepTrace, u64) {
+        let actors: Vec<ActorFn<'_, EchoModel, Vec<u64>>> = programs
+            .iter()
+            .map(|prog| {
+                let prog = prog.clone();
+                actor(move |ctx: ActorCtx<EchoModel>| async move {
+                    let mut clocks = Vec::new();
+                    for step in prog {
+                        match step {
+                            Step::Call(v) => {
+                                ctx.call(v).await;
+                            }
+                            Step::SleepUs(us) => ctx.sleep(Duration::from_micros(us)).await,
+                        }
+                        clocks.push(ctx.now().as_nanos());
+                    }
+                    clocks
+                })
+            })
+            .collect();
+        let pushes = || crate::heap::PUSHES.with(|p| p.get());
+        let before = pushes();
+        let r = Simulation::new(model, 0).record_history().run(actors);
+        let pushed = pushes() - before;
+        let trace = (
+            r.model.handled,
+            r.results,
+            r.end_time,
+            r.requests,
+            r.events,
+            r.history_hash,
+        );
+        (trace, pushed)
+    }
+
+    /// One-event-at-a-time reference for step programs: every arrival is
+    /// pushed onto the heap and popped like any other event.
+    fn run_reference(mut model: EchoModel, programs: &[Vec<Step>]) -> StepTrace {
+        fn submit(
+            programs: &[Vec<Step>],
+            a: usize,
+            at: SimTime,
+            pc: &[usize],
+            seq: &mut [u64],
+            heap: &mut EventHeap<Payload<EchoModel>>,
+        ) {
+            let Some(&step) = programs[a].get(pc[a]) else {
+                return;
+            };
+            let s = seq[a];
+            let (time, payload) = match step {
+                Step::Call(req) => {
+                    seq[a] += 2;
+                    let reply_seq = s + 1;
+                    (
+                        at,
+                        Payload::Arrival {
+                            part: 0,
+                            reply_seq,
+                            req,
+                        },
+                    )
+                }
+                Step::SleepUs(us) => {
+                    seq[a] += 1;
+                    (at + Duration::from_micros(us), Payload::Timer)
+                }
+            };
+            let key = EventKey {
+                time,
+                actor: ActorId(a),
+                seq: s,
+            };
+            heap.push(key, payload);
+        }
+        let n = programs.len();
+        let mut heap = EventHeap::new();
+        let (mut pc, mut seq) = (vec![0; n], vec![0; n]);
+        let mut clocks = vec![Vec::new(); n];
+        let (mut end, mut requests, mut keys) = (SimTime::ZERO, 0, Vec::new());
+        for a in 0..n {
+            submit(programs, a, SimTime::ZERO, &pc, &mut seq, &mut heap);
+        }
+        while let Some((k, payload)) = heap.pop() {
+            end = k.time;
+            keys.push(k);
+            match payload {
+                Payload::Arrival { reply_seq, req, .. } => {
+                    requests += 1;
+                    let (done, resp) = model.handle(k.time, k.actor, req);
+                    let key = EventKey {
+                        time: done,
+                        seq: reply_seq,
+                        ..k
+                    };
+                    heap.push(key, Payload::Deliver(resp));
+                }
+                Payload::Deliver(_) | Payload::Timer => {
+                    let a = k.actor.0;
+                    clocks[a].push(k.time.as_nanos());
+                    pc[a] += 1;
+                    submit(programs, a, k.time, &pc, &mut seq, &mut heap);
+                }
+            }
+        }
+        keys.sort_unstable();
+        let events = keys.len() as u64;
+        (
+            model.handled,
+            clocks,
+            end,
+            requests,
+            events,
+            Some(fnv1a_keys(&keys)),
+        )
+    }
+
+    #[test]
+    fn closed_loop_call_pushes_only_its_reply() {
+        // 128 actors, each a closed loop of calls with a sleep now and then:
+        // every arrival sorts before everything pending, so each call puts
+        // exactly one event — its reply — on the heap, and each sleep one
+        // timer. The arrivals still count as fired events.
+        let programs: Vec<Vec<Step>> = (0..128usize)
+            .map(|a| {
+                (0..12u32)
+                    .flat_map(|r| {
+                        let think = (a + r as usize).is_multiple_of(4);
+                        let sleep = think.then_some(Step::SleepUs(50 + a as u64));
+                        sleep.into_iter().chain([Step::Call(r)])
+                    })
+                    .collect()
+            })
+            .collect();
+        let (calls, sleeps) = count_steps(&programs);
+        let (trace, pushed) = run_steps(echo(1), &programs);
+        assert_eq!(pushed, calls + sleeps, "heap pushes per call + sleep");
+        assert_eq!(trace.4, 2 * calls + sleeps, "events");
+        assert_eq!(trace, run_reference(echo(1), &programs));
+    }
+
+    #[test]
+    fn arrival_behind_an_earlier_key_goes_through_the_heap() {
+        // Actor 0 leaves a zero-length timer pending at launch, and every
+        // third request is answered in zero virtual time, so its reply sorts
+        // before the next actor's arrival at the same instant. Those
+        // arrivals must wait their turn in the heap.
+        let programs: Vec<Vec<Step>> = (0..6u32)
+            .map(|a| {
+                let lead = (a == 0).then_some(Step::SleepUs(0));
+                let body = (0..9u32).map(move |r| match r % 4 {
+                    3 => Step::SleepUs(u64::from(a % 3)),
+                    _ => Step::Call(10 * a + r),
+                });
+                lead.into_iter().chain(body).collect()
+            })
+            .collect();
+        let model = || EchoModel {
+            instant_every: 3,
+            ..echo(1)
+        };
+        let (calls, sleeps) = count_steps(&programs);
+        let (trace, pushed) = run_steps(model(), &programs);
+        assert!(
+            pushed > calls + sleeps,
+            "no arrival took the heap: {pushed} pushes"
+        );
+        assert_eq!(trace, run_reference(model(), &programs));
+
+        let threaded: Vec<crate::threaded::ThreadedActorFn<'_, EchoModel, Vec<u64>>> = programs
+            .iter()
+            .map(|prog| {
+                let prog = prog.clone();
+                Box::new(move |ctx: &crate::threaded::ThreadedActorCtx<EchoModel>| {
+                    let mut clocks = Vec::new();
+                    for step in prog {
+                        match step {
+                            Step::Call(v) => {
+                                ctx.call(v);
+                            }
+                            Step::SleepUs(us) => ctx.sleep(Duration::from_micros(us)),
+                        }
+                        clocks.push(ctx.now().as_nanos());
+                    }
+                    clocks
+                }) as crate::threaded::ThreadedActorFn<'_, EchoModel, Vec<u64>>
+            })
+            .collect();
+        let t = crate::threaded::ThreadedSimulation::new(model(), 0).run(threaded);
+        let (handled, clocks, end, requests, events, _) = trace;
+        assert_eq!(handled, t.model.handled, "model traces differ");
+        assert_eq!(clocks, t.results, "actor clocks differ");
+        assert_eq!((end, requests, events), (t.end_time, t.requests, t.events));
     }
 
     #[test]

@@ -1039,10 +1039,12 @@ mod tests {
     /// A partition-separable model: one FIFO server per partition, requests
     /// address a target partition explicitly. Splitting hands each sub-model
     /// the real server of its own partition (the others stay fresh and, by
-    /// the routing contract, untouched).
+    /// the routing contract, untouched). Values divisible by a nonzero
+    /// `instant_every` are answered in zero virtual time.
     struct PartEcho {
         partitions: u32,
         service: Duration,
+        instant_every: u32,
         servers: Vec<FifoServer>,
         handled: Vec<u64>,
     }
@@ -1052,6 +1054,7 @@ mod tests {
             PartEcho {
                 partitions,
                 service: Duration::from_micros(service_us),
+                instant_every: 0,
                 servers: (0..partitions).map(|_| FifoServer::new()).collect(),
                 handled: vec![0; partitions as usize],
             }
@@ -1070,6 +1073,9 @@ mod tests {
         ) -> (SimTime, Self::Resp) {
             let p = req.0 as usize;
             self.handled[p] += 1;
+            if self.instant_every != 0 && req.1.is_multiple_of(self.instant_every) {
+                return (now, (req.1, now));
+            }
             let (_, end) = self.servers[p].admit(now, self.service);
             (end, (req.1, end))
         }
@@ -1092,6 +1098,7 @@ mod tests {
                     PartEcho {
                         partitions,
                         service: self.service,
+                        instant_every: self.instant_every,
                         servers,
                         handled,
                     }
@@ -1101,7 +1108,7 @@ mod tests {
 
         fn merge(parts: Vec<Self>) -> Self {
             let partitions = parts.len() as u32;
-            let service = parts[0].service;
+            let (service, instant_every) = (parts[0].service, parts[0].instant_every);
             let mut servers = Vec::with_capacity(parts.len());
             let mut handled = Vec::with_capacity(parts.len());
             for (p, mut part) in parts.into_iter().enumerate() {
@@ -1111,6 +1118,7 @@ mod tests {
             PartEcho {
                 partitions,
                 service,
+                instant_every,
                 servers,
                 handled,
             }
@@ -1316,6 +1324,49 @@ mod tests {
                 rounds,
             );
             proptest::prop_assert_eq!(report_fingerprint(&serial), report_fingerprint(&shd));
+        }
+    }
+
+    #[test]
+    fn zero_latency_replies_match_serial_at_every_shard_count() {
+        // Every third request completes in zero virtual time. Each actor
+        // opens with such a call, so at launch the first actor's reply sorts
+        // before the other actors' arrivals at the same instant: the case in
+        // which an arrival must not be served in place. Any shard count and
+        // window tuning must still replay the serial history.
+        let (partitions, actors, rounds) = (4, 8, 8);
+        let model = || PartEcho {
+            instant_every: 3,
+            ..PartEcho::new(partitions, 300)
+        };
+        let body = move |ctx: ActorCtx<PartEcho>| async move {
+            let me = ctx.id().0 as u32;
+            let (v, done) = ctx.call((me % partitions, 3 * me)).await;
+            let mut out = vec![(v, done.as_nanos())];
+            out.extend(mixed_body(partitions, rounds)(ctx).await);
+            out
+        };
+        let base = ShardPlan::striped(actors, partitions, 1).with_hop(Duration::from_millis(1));
+        let serial = Simulation::new(model(), 7)
+            .with_plan(&base)
+            .record_history()
+            .run_workers(actors, body);
+        for tuning in [WindowTuning::Fixed, WindowTuning::Adaptive { target: 0.25 }] {
+            for shards in [1u32, 2, 4] {
+                let plan = base
+                    .clone()
+                    .with_shards(shards)
+                    .with_window_tuning(tuning.clone());
+                let shd = ShardedSimulation::new(model(), 7, plan)
+                    .record_history()
+                    .run_workers(body);
+                assert_eq!(
+                    report_fingerprint(&serial),
+                    report_fingerprint(&shd),
+                    "observables diverged at {shards} shards under {tuning:?}"
+                );
+                assert_eq!(shd.events, serial.events);
+            }
         }
     }
 
