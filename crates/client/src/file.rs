@@ -35,11 +35,10 @@ use azsim_core::SimTime;
 use azsim_storage::message::{MessageId, PeekedMessage, PopReceipt};
 use azsim_storage::{QueueMessage, StorageError, StorageOk, StorageRequest, StorageResult};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::future::{ready, Future};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Default message time-to-live (the service's 7 days).
@@ -206,6 +205,13 @@ impl FileStore {
         d.mul_f64(1.0 / self.time_scale)
     }
 
+    /// Take the store lock. A panic while it was held is recovered, not
+    /// propagated: the counters only ever step up by one, and a commit
+    /// lands on disk by rename, so neither is left half-written.
+    fn counters(&self) -> MutexGuard<'_, Counters> {
+        self.lock.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     // ---- path helpers ----
 
     fn container_dir(&self, container: &str) -> PathBuf {
@@ -280,7 +286,7 @@ impl FileStore {
         block_ids: &[String],
     ) -> StorageResult<StorageOk> {
         self.require_container(container)?;
-        let _guard = self.lock.lock();
+        let _guard = self.counters();
         let staged = self.staged_dir(container, blob);
         let mut body: Vec<u8> = Vec::new();
         let mut index = String::new();
@@ -402,7 +408,7 @@ impl FileStore {
         let dir = self.require_queue(queue)?;
         let now = self.now();
         let seq = {
-            let mut c = self.lock.lock();
+            let mut c = self.counters();
             let s = c.next_msg;
             c.next_msg += 1;
             s
@@ -424,7 +430,7 @@ impl FileStore {
 
     fn get_message(&self, queue: &str, visibility: Duration) -> StorageResult<StorageOk> {
         let dir = self.require_queue(queue)?;
-        let mut guard = self.lock.lock();
+        let mut guard = self.counters();
         let now = self.now();
         for (seq, mut meta) in self.messages(&dir, now) {
             if meta.next_visible_ns > now.as_nanos() {
@@ -474,7 +480,7 @@ impl FileStore {
         receipt: PopReceipt,
     ) -> StorageResult<StorageOk> {
         let dir = self.require_queue(queue)?;
-        let _guard = self.lock.lock();
+        let _guard = self.counters();
         let now = self.now();
         for (seq, meta) in self.messages(&dir, now) {
             if meta.id != id.0 {
@@ -500,7 +506,7 @@ impl FileStore {
 
     fn clear_queue(&self, queue: &str) -> StorageResult<StorageOk> {
         let dir = self.require_queue(queue)?;
-        let _guard = self.lock.lock();
+        let _guard = self.counters();
         for entry in std::fs::read_dir(&dir).map_err(io_fault)?.flatten() {
             let _ = std::fs::remove_file(entry.path());
         }
@@ -741,6 +747,15 @@ mod tests {
         let store = FileStore::new_temp(FAST);
         let env = store.env(0);
         block_on(env.execute(StorageRequest::CreateQueue { queue: "q".into() })).unwrap();
+        // A panic under the store lock does not poison it for the ops below.
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = store.counters();
+                panic!("poison it")
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
         for i in 0..3u8 {
             block_on(env.execute(StorageRequest::PutMessage {
                 queue: "q".into(),

@@ -18,6 +18,8 @@
 //!   `file://` live backend that validates the client stack against a
 //!   real storage medium instead of the simulated cluster.
 
+#![forbid(unsafe_code)]
+
 pub mod blob;
 pub mod env;
 pub mod file;

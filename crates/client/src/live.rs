@@ -14,12 +14,6 @@
 //! with [`azsim_core::block_on`]. The same client and framework code
 //! therefore runs unchanged on the coroutine simulator and in live mode.
 //!
-//! Live-mode telemetry ([`LiveCluster::start_telemetry`]): in virtual time
-//! the cluster samples its gauge timeline on every arrival; in live mode a
-//! background thread flushes the same cluster-wide gauges and counters on a
-//! periodic wall-clock cadence, so dashboards read an up-to-date recorder
-//! even while the workload is idle.
-//!
 //! Live mode is *not* deterministic (it reads the host clock); use the
 //! virtual runtime for benchmark figures.
 
@@ -27,9 +21,8 @@ use crate::env::Environment;
 use azsim_core::SimTime;
 use azsim_fabric::{Cluster, ClusterParams};
 use azsim_storage::{StorageOk, StorageRequest, StorageResult};
-use parking_lot::Mutex;
 use std::future::{ready, Future};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A cluster shared by live-mode threads.
@@ -66,32 +59,14 @@ impl LiveCluster {
 
     /// Inspect or mutate the underlying cluster (metrics, fault injection).
     pub fn with_cluster<R>(&self, f: impl FnOnce(&mut Cluster) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut self.lock())
     }
 
-    /// Enable the gauge timeline at `resolution` (virtual time) and start a
-    /// daemon thread that flushes the cluster-wide gauges every
-    /// `flush_interval` of *real* time — the live-mode counterpart of the
-    /// arrival-driven sampling the virtual-time recorder performs. The
-    /// thread holds only a weak reference and exits on its own once the
-    /// last [`LiveCluster`] handle is dropped.
-    pub fn start_telemetry(self: &Arc<Self>, resolution: Duration, flush_interval: Duration) {
-        assert!(
-            flush_interval > Duration::ZERO,
-            "flush_interval must be positive"
-        );
-        self.with_cluster(|c| c.enable_timeline(resolution));
-        let weak: Weak<LiveCluster> = Arc::downgrade(self);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(flush_interval);
-            let Some(lc) = weak.upgrade() else { break };
-            lc.with_cluster(|c| {
-                // Read the clock under the lock so flush samples and
-                // request-driven samples stay in submission order.
-                let now = lc.now();
-                c.flush_timeline(now);
-            });
-        });
+    /// Take the cluster lock. A panic while it was held (in a
+    /// [`with_cluster`](Self::with_cluster) closure) is recovered, not
+    /// propagated: one failed live thread must not stop the others.
+    fn lock(&self) -> MutexGuard<'_, Cluster> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     fn virtual_to_real(&self, d: Duration) -> Duration {
@@ -117,7 +92,7 @@ impl Environment for LiveEnv {
 
     fn execute(&self, req: StorageRequest) -> impl Future<Output = StorageResult<StorageOk>> {
         let (done, resp) = {
-            let mut c = self.cluster.inner.lock();
+            let mut c = self.cluster.lock();
             let now = self.cluster.now();
             c.submit(now, self.instance, &req)
         };
@@ -201,6 +176,21 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_inside_with_cluster_does_not_poison_it() {
+        let lc = LiveCluster::new(ClusterParams::default(), FAST);
+        block_on(
+            lc.env(0)
+                .execute(StorageRequest::CreateQueue { queue: "q".into() }),
+        )
+        .unwrap();
+        let lc2 = Arc::clone(&lc);
+        let panicked = std::thread::spawn(move || lc2.with_cluster(|_| panic!("poison it")));
+        assert!(panicked.join().is_err());
+        // Still lockable, and the state from before the panic is there.
+        assert_eq!(lc.with_cluster(|c| c.metrics().total_completed()), 1);
+    }
+
+    #[test]
     fn clock_advances_and_scales() {
         let lc = LiveCluster::new(ClusterParams::default(), FAST);
         let t0 = lc.now();
@@ -208,38 +198,6 @@ mod tests {
         let t1 = lc.now();
         // 2 ms of real time is ≥ 10 virtual seconds at scale 10 000.
         assert!(t1.saturating_since(t0) >= Duration::from_secs(10));
-    }
-
-    #[test]
-    fn telemetry_flushes_on_wall_clock_cadence() {
-        let lc = LiveCluster::new(ClusterParams::default(), FAST);
-        // Flush every millisecond of real time; resolution is virtual.
-        lc.start_telemetry(Duration::from_millis(5), Duration::from_millis(1));
-        block_on(
-            lc.env(0)
-                .execute(StorageRequest::CreateQueue { queue: "q".into() }),
-        )
-        .unwrap();
-        // No further requests: only the background flush can add samples.
-        let count = |lc: &LiveCluster| {
-            lc.with_cluster(|c| {
-                let tl = c.timeline().expect("telemetry enabled");
-                let rec = tl.recorder();
-                let g = rec
-                    .gauges()
-                    .iter()
-                    .find(|g| g.name == "account_tx.fill")
-                    .expect("account_tx.fill gauge");
-                g.series.sample_count()
-            })
-        };
-        let before = count(&lc);
-        std::thread::sleep(Duration::from_millis(30));
-        let after = count(&lc);
-        assert!(
-            after > before,
-            "periodic flush must add samples while idle: {before} -> {after}"
-        );
     }
 
     #[test]

@@ -81,21 +81,6 @@ impl<'e, E: Environment> QueueClient<'e, E> {
             .map(|_| ())
     }
 
-    /// `PutMessage` with an explicit time-to-live.
-    pub async fn put_message_with_ttl(&self, data: Bytes, ttl: Duration) -> StorageResult<()> {
-        self.policy
-            .run(
-                self.env,
-                &StorageRequest::PutMessage {
-                    queue: self.name.clone(),
-                    data,
-                    ttl: Some(ttl),
-                },
-            )
-            .await
-            .map(|_| ())
-    }
-
     /// `GetMessage` with the default 30 s visibility timeout.
     pub async fn get_message(&self) -> StorageResult<Option<QueueMessage>> {
         self.get_message_with_visibility(DEFAULT_VISIBILITY).await

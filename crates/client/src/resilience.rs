@@ -9,9 +9,9 @@
 //!
 //! * **retry/abort classification** per error kind ([`classify`]):
 //!   throttles and server faults are safely retryable, timeouts are
-//!   *ambiguous* (the operation may have executed server-side) and only
-//!   retried when the caller accepts at-least-once semantics, semantic
-//!   errors abort immediately;
+//!   *ambiguous* (the operation may have executed server-side) and are
+//!   retried too, which gives at-least-once semantics; semantic errors
+//!   abort immediately;
 //! * **exponential backoff with decorrelated jitter**
 //!   ([`BackoffConfig`]): each sleep is drawn uniformly from
 //!   `[base, prev * multiplier]` and capped, which spreads synchronized
@@ -251,7 +251,6 @@ pub struct ResilientPolicy {
     deadline: Option<Duration>,
     breaker: Option<BreakerConfig>,
     budget: Option<RetryBudgetConfig>,
-    retry_ambiguous: bool,
     state: RefCell<Inner>,
 }
 
@@ -266,7 +265,6 @@ impl ResilientPolicy {
             deadline: None,
             breaker: Some(BreakerConfig::default()),
             budget: None,
-            retry_ambiguous: true,
             state: RefCell::new(Inner {
                 rng: stream_rng(seed, JITTER_STREAM),
                 breakers: HashMap::new(),
@@ -310,13 +308,6 @@ impl ResilientPolicy {
     pub fn with_retry_budget(mut self, budget: RetryBudgetConfig) -> Self {
         self.state.borrow_mut().budget_tokens = budget.capacity as f64;
         self.budget = Some(budget);
-        self
-    }
-
-    /// Treat ambiguous errors (timeouts) as fatal instead of retrying —
-    /// for callers that need at-most-once semantics.
-    pub fn abort_on_ambiguous(mut self) -> Self {
-        self.retry_ambiguous = false;
         self
     }
 
@@ -393,8 +384,7 @@ impl ResilientPolicy {
             };
 
             let retryable = match classify(&err) {
-                ErrorClass::Transient => true,
-                ErrorClass::Ambiguous => self.retry_ambiguous,
+                ErrorClass::Transient | ErrorClass::Ambiguous => true,
                 ErrorClass::Permanent => {
                     // A semantic answer proves the partition is serving:
                     // reset its failure streak, then abort.
@@ -731,28 +721,6 @@ mod tests {
         assert!(matches!(r, Err(StorageError::QueueNotFound(_))));
         assert_eq!(env.calls.get(), 1);
         assert!(env.slept.borrow().is_empty());
-    }
-
-    #[test]
-    fn ambiguous_errors_abort_when_configured() {
-        let timeout = || {
-            Err(StorageError::Timeout {
-                elapsed: Duration::from_secs(30),
-            })
-        };
-        // Default: retried like any transient error.
-        let env = ScriptedEnv::new(vec![timeout()]);
-        block_on(ResilientPolicy::new(0).run(&env, &req())).unwrap();
-        assert_eq!(env.calls.get(), 2);
-        // At-most-once: aborted.
-        let env = ScriptedEnv::new(vec![timeout()]);
-        let r = block_on(
-            ResilientPolicy::new(0)
-                .abort_on_ambiguous()
-                .run(&env, &req()),
-        );
-        assert!(matches!(r, Err(StorageError::Timeout { .. })));
-        assert_eq!(env.calls.get(), 1);
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //!   [`roles::Deployment`] builder that runs a heterogeneous set of roles
 //!   (e.g. one web role plus N worker roles) on the virtual-time runtime
 //!   with per-instance NIC bandwidths wired into the cluster.
+//!
+//! Every instance starts at virtual time zero. VM provisioning times and
+//! instance-local disks, which the paper names as future work, are not
+//! modelled: no figure measures them.
 
-pub mod localdisk;
-pub mod provisioning;
+#![forbid(unsafe_code)]
+
 pub mod roles;
 pub mod vm;
 
-pub use localdisk::LocalDisk;
-pub use provisioning::ProvisioningModel;
 pub use roles::{Deployment, RoleEnvironment};
 pub use vm::VmSize;

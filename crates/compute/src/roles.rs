@@ -1,6 +1,5 @@
 //! Web/worker role deployments on the virtual-time runtime.
 
-use crate::provisioning::ProvisioningModel;
 use crate::vm::VmSize;
 use azsim_core::runtime::{actor, ActorCtx, ActorFn, ActorFuture, SimReport};
 use azsim_core::Simulation;
@@ -54,7 +53,6 @@ pub struct Deployment<'a, R> {
     params: ClusterParams,
     seed: u64,
     roles: Vec<RoleSpec<'a, R>>,
-    provisioning: ProvisioningModel,
 }
 
 impl<'a, R: 'a> Deployment<'a, R> {
@@ -65,17 +63,7 @@ impl<'a, R: 'a> Deployment<'a, R> {
             params,
             seed,
             roles: Vec::new(),
-            provisioning: ProvisioningModel::instant(),
         }
-    }
-
-    /// Model VM provisioning: each instance only starts executing once the
-    /// fabric controller has allocated and booted it (staggered in waves).
-    /// Benchmarks leave this at [`ProvisioningModel::instant`]; deployment-
-    /// timing studies (the paper's future work) switch it on.
-    pub fn with_provisioning(mut self, model: ProvisioningModel) -> Self {
-        self.provisioning = model;
-        self
     }
 
     /// Add `instances` instances of a role running the async `body` on
@@ -119,13 +107,7 @@ impl<'a, R: 'a> Deployment<'a, R> {
                     vm: spec.vm,
                 };
                 let body = Arc::clone(&spec.body);
-                let boot = self.provisioning.ready_at(actor_id, spec.vm);
-                actors.push(actor(move |ctx: ActorCtx<Cluster>| async move {
-                    if boot > std::time::Duration::ZERO {
-                        ctx.sleep(boot).await;
-                    }
-                    body(ctx, env).await
-                }));
+                actors.push(actor(move |ctx: ActorCtx<Cluster>| body(ctx, env)));
                 actor_id += 1;
             }
         }
@@ -139,26 +121,6 @@ mod tests {
     use azsim_storage::StorageRequest;
     use bytes::Bytes;
     use std::time::Duration;
-
-    #[test]
-    fn provisioning_delays_role_start() {
-        let model = ProvisioningModel {
-            jitter: 0.0,
-            wave_size: 1, // one instance per wave → visible staggering
-            ..ProvisioningModel::default()
-        };
-        let expected0 = model.ready_at(0, VmSize::Small);
-        let report = Deployment::new(ClusterParams::default(), 9)
-            .with_provisioning(model)
-            .with_role("w", 2, VmSize::Small, |ctx, _env| async move { ctx.now() })
-            .run();
-        assert_eq!(report.results[0].as_nanos(), expected0.as_nanos() as u64);
-        // The second instance comes online one wave gap later.
-        assert_eq!(
-            report.results[1].saturating_since(report.results[0]),
-            Duration::from_secs(60)
-        );
-    }
 
     #[test]
     fn heterogeneous_roles_get_correct_metadata() {

@@ -22,7 +22,6 @@ use crate::report::{Figure, Series};
 use azsim_client::{BlobClient, Environment, VirtualEnv};
 use azsim_core::SimTime;
 use azsim_framework::QueueBarrier;
-use std::time::Duration;
 
 /// The measured phases of Algorithm 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -364,14 +363,6 @@ pub fn phase(aggs: &[(BlobPhase, PhaseAggregate)], p: BlobPhase) -> PhaseAggrega
         .find(|(q, _)| *q == p)
         .map(|(_, a)| *a)
         .unwrap_or_default()
-}
-
-/// The virtual duration of a full Algorithm 1 run (for sanity tests).
-pub fn run_alg1_wall(cfg: &BenchConfig, workers: usize) -> Duration {
-    let chunks = cfg.blob_chunks();
-    let _ = chunks;
-    let aggs = run_alg1(cfg, workers);
-    Duration::from_secs_f64(aggs.iter().map(|(_, a)| a.mean_worker_seconds).sum::<f64>())
 }
 
 #[cfg(test)]

@@ -20,6 +20,8 @@
 //! Run `cargo run --release -p azurebench --bin figures -- all` to print
 //! every series; pass `--scale 0.1` to shrink the workload for quick runs.
 
+#![forbid(unsafe_code)]
+
 pub mod alg1_blob;
 pub mod alg3_queue;
 pub mod alg4_queue;

@@ -33,11 +33,6 @@ impl Series {
             .find(|(px, _)| (*px - x).abs() < 1e-9)
             .map(|(_, y)| *y)
     }
-
-    /// Largest y value (0 for an empty series).
-    pub fn max_y(&self) -> f64 {
-        self.points.iter().map(|(_, y)| *y).fold(0.0, f64::max)
-    }
 }
 
 /// A reproducible paper figure: metadata plus its series.
@@ -167,7 +162,6 @@ mod tests {
         assert_eq!(f.series("alpha").unwrap().y_at(2.0), Some(0.25));
         assert_eq!(f.series("alpha").unwrap().y_at(3.0), None);
         assert!(f.series("gamma").is_none());
-        assert_eq!(f.series("beta").unwrap().max_y(), 1.5);
     }
 
     #[test]

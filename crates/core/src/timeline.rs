@@ -149,10 +149,10 @@ pub fn run_timeline(cfg: &BenchConfig, workers: usize, ops_per_worker: usize) ->
         .expect("timeline enabled via params")
         .recorder()
         .clone();
-    // Merge client-side telemetry into the event stream. Worker results
-    // arrive in worker order; the final sort by (time, kind, label) makes
-    // the stream independent of any collection order.
-    let mut events: Vec<TimelineEvent> = recorder.events().to_vec();
+    // The event stream is client-side telemetry. Worker results arrive in
+    // worker order; the final sort by (time, kind, label) makes the stream
+    // independent of any collection order.
+    let mut events: Vec<TimelineEvent> = Vec::new();
     for (spans, breakers) in &report.results {
         for s in spans {
             events.push(retry_event(s));
@@ -273,6 +273,8 @@ struct TimelineDoc {
     gauges: Vec<GaugeDoc>,
     counters: Vec<CounterDoc>,
     events: Vec<EventDoc>,
+    /// Always 0: the event stream is unbounded. Kept so the
+    /// `azurebench-timeline/v1` document keeps its shape.
     dropped_events: u64,
     usage: Vec<ResourceUsage>,
 }
@@ -355,7 +357,7 @@ impl TimelineReport {
                     label: e.label.clone(),
                 })
                 .collect(),
-            dropped_events: self.recorder.dropped_events(),
+            dropped_events: 0,
             usage: self.usage.clone(),
         }
     }

@@ -241,55 +241,6 @@ impl Default for BackendProfile {
     }
 }
 
-/// Compile-time view of a backend: a named profile. The trait exists so
-/// generic harness code (conformance tables, documentation generators)
-/// can enumerate backends as *types*; runtime selection goes through
-/// [`BackendKind`] / [`BackendProfile`] values.
-pub trait StorageBackend {
-    /// Stable lowercase backend name.
-    const NAME: &'static str;
-
-    /// The backend's declared-semantics profile.
-    fn profile() -> BackendProfile;
-}
-
-/// Marker type for the WAS reference backend.
-pub struct Was;
-/// Marker type for the S3-style backend.
-pub struct S3Style;
-/// Marker type for the GCS-style backend.
-pub struct GcsStyle;
-/// Marker type for the `file://` backend.
-pub struct FileLocal;
-
-impl StorageBackend for Was {
-    const NAME: &'static str = "was";
-    fn profile() -> BackendProfile {
-        BackendProfile::was()
-    }
-}
-
-impl StorageBackend for S3Style {
-    const NAME: &'static str = "s3";
-    fn profile() -> BackendProfile {
-        BackendProfile::s3()
-    }
-}
-
-impl StorageBackend for GcsStyle {
-    const NAME: &'static str = "gcs";
-    fn profile() -> BackendProfile {
-        BackendProfile::gcs()
-    }
-}
-
-impl StorageBackend for FileLocal {
-    const NAME: &'static str = "file";
-    fn profile() -> BackendProfile {
-        BackendProfile::file()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,13 +316,5 @@ mod tests {
             shape.retry_after(5, Duration::from_secs(3), hint),
             Duration::from_secs(3)
         );
-    }
-
-    #[test]
-    fn typed_backends_agree_with_kinds() {
-        assert_eq!(Was::NAME, BackendKind::Was.name());
-        assert_eq!(S3Style::profile().kind, BackendKind::S3);
-        assert_eq!(GcsStyle::profile().kind, BackendKind::Gcs);
-        assert_eq!(FileLocal::profile().kind, BackendKind::File);
     }
 }

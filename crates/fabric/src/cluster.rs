@@ -917,35 +917,6 @@ impl Cluster {
         );
     }
 
-    /// Sample the cluster-wide gauges at `now` without an accompanying
-    /// arrival (no-op unless the timeline is enabled). Virtual-time runs
-    /// sample on every arrival; live mode calls this on a periodic
-    /// wall-clock cadence so the recorder carries the same gauge and
-    /// counter series either way. Reads only side-effect-free accessors.
-    /// Per-partition series are skipped: without an arrival there is no
-    /// current slot, and the cluster-wide gauges are the live dashboards'
-    /// payload.
-    pub fn flush_timeline(&mut self, now: SimTime) {
-        let Some(tl) = self.timeline.as_mut() else {
-            return;
-        };
-        let backlog = |free: SimTime| free.saturating_since(now).as_secs_f64();
-        tl.observe_cluster(
-            now,
-            ClusterSample {
-                account_tx_fill: self.account_tx.fill(now),
-                up_backlog_s: backlog(self.account_up.next_free()),
-                down_backlog_s: backlog(self.account_down.next_free()),
-                table_frontend_backlog_s: backlog(self.table_frontend.next_free()),
-                nic_backlog_s: None,
-                fault_windows: self.faults.active_windows(now),
-            },
-        );
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.flush_counters(now);
-        }
-    }
-
     /// Account one outcome on the timeline (no-op unless enabled).
     fn timeline_outcome(&mut self, now: SimTime, done: SimTime, throttled: bool) {
         if let Some(tl) = self.timeline.as_mut() {

@@ -160,23 +160,6 @@ impl FaultPlan {
             && self.ack_loss_prob <= 0.0
             && self.replica_stall_prob <= 0.0
     }
-
-    /// Whether `now` falls inside any scheduled window (half-open, see the
-    /// type-level docs). Used by the verification layer to decide which
-    /// read-your-writes checks must hold unconditionally.
-    pub fn in_any_window(&self, now: SimTime) -> bool {
-        self.busy_storms
-            .iter()
-            .any(|s| in_window(now, s.at, s.duration))
-            || self
-                .crashes
-                .iter()
-                .any(|c| in_window(now, c.at, c.failover))
-            || self
-                .blackouts
-                .iter()
-                .any(|b| in_window(now, b.at, b.duration))
-    }
 }
 
 /// What the injector decided for one request.
@@ -300,11 +283,6 @@ impl FaultInjector {
     /// An injector that never fires.
     pub fn inert() -> Self {
         Self::new(FaultPlan::default())
-    }
-
-    /// Whether any fault can ever fire.
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     /// The plan being executed.
@@ -474,7 +452,6 @@ mod tests {
     #[test]
     fn default_plan_is_inert_and_silent() {
         let mut inj = FaultInjector::inert();
-        assert!(!inj.is_active());
         for ms in 0..100 {
             assert_eq!(
                 inj.decide(at(ms), OpClass::QueuePut, &queue_pk(), 3),
@@ -606,8 +583,6 @@ mod tests {
             ),
             FaultDecision::None
         );
-        assert!(inj.plan().in_any_window(just_inside));
-        assert!(!inj.plan().in_any_window(end));
     }
 
     #[test]

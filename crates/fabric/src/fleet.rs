@@ -89,12 +89,6 @@ impl Fleet {
         &self.tenants[(t - self.first) as usize]
     }
 
-    /// Mutable access to tenant `t`'s cluster (global tenant id) — for
-    /// pre-run configuration such as fault plans or NIC overrides.
-    pub fn tenant_mut(&mut self, t: u32) -> &mut Cluster {
-        &mut self.tenants[(t - self.first) as usize]
-    }
-
     /// Iterate `(tenant id, cluster)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Cluster)> {
         self.tenants

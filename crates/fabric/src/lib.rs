@@ -25,6 +25,8 @@
 //! plugs into the virtual-time runtime; the same object can be driven in
 //! real time by `azsim-client`'s live mode.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod cluster;
 pub mod faults;
@@ -35,7 +37,7 @@ pub mod timeline;
 pub mod trace;
 pub mod verify;
 
-pub use backend::{BackendKind, BackendProfile, StorageBackend, ThrottleShape};
+pub use backend::{BackendKind, BackendProfile, ThrottleShape};
 pub use cluster::Cluster;
 pub use faults::{
     BusyStorm, FaultInjector, FaultMetrics, FaultPlan, PartitionBlackout, ServerCrash,

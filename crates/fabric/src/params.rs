@@ -182,20 +182,6 @@ impl Default for ClusterParams {
 }
 
 impl ClusterParams {
-    /// A parameter set with every throttle effectively disabled — useful
-    /// for ablation benches isolating the queueing model from the
-    /// documented rate limits.
-    pub fn unthrottled() -> Self {
-        ClusterParams {
-            queue_rate: 1e12,
-            partition_rate: 1e12,
-            account_tx_rate: 1e12,
-            account_bandwidth: 1e15,
-            throttle_burst: 1e12,
-            ..Self::default()
-        }
-    }
-
     /// A parameter set with replication reduced to a single replica (no
     /// sync terms) — the ablation that collapses the paper's
     /// Peek < Put < Get ordering.
@@ -240,8 +226,6 @@ mod tests {
 
     #[test]
     fn ablation_presets() {
-        let u = ClusterParams::unthrottled();
-        assert!(u.queue_rate > 1e9);
         let s = ClusterParams::single_replica();
         assert_eq!(s.replica_sync, Duration::ZERO);
         assert_eq!(s.state_sync, Duration::ZERO);

@@ -209,18 +209,6 @@ impl ClusterTimeline {
             .record_gauge(self.g_inflight, now, self.inflight.len() as f64);
     }
 
-    /// Re-record the running counter totals at `now` without a new outcome.
-    /// The live-mode periodic flush uses this to keep the delta series
-    /// current (emitting zero deltas) across idle stretches.
-    pub(crate) fn flush_counters(&mut self, now: SimTime) {
-        self.recorder
-            .record_counter(self.c_submitted, now, self.submitted as f64);
-        self.recorder
-            .record_counter(self.c_throttled, now, self.throttled as f64);
-        self.recorder
-            .record_counter(self.c_ambiguous, now, self.ambiguous as f64);
-    }
-
     /// Account one ambiguous outcome (the client observed a timeout and
     /// cannot know whether the operation executed) at `now`.
     pub(crate) fn note_ambiguous(&mut self, now: SimTime) {

@@ -36,11 +36,6 @@ pub enum OpOutcome {
 }
 
 impl OpOutcome {
-    /// Whether the client could not learn the operation's fate.
-    pub fn is_ambiguous(self) -> bool {
-        matches!(self, OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted)
-    }
-
     /// Whether the state transition ran.
     pub fn executed(self) -> bool {
         matches!(self, OpOutcome::Ok | OpOutcome::TimedOutExecuted)
@@ -97,14 +92,6 @@ impl History {
             .filter(|r| r.outcome == OpOutcome::TimedOutLost)
             .count()
     }
-
-    /// Executed operations of one class (acked or not).
-    pub fn executed_of(&self, class: OpClass) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.class == class && r.outcome.executed())
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -113,9 +100,6 @@ mod tests {
 
     #[test]
     fn outcome_classification() {
-        assert!(OpOutcome::TimedOutLost.is_ambiguous());
-        assert!(OpOutcome::TimedOutExecuted.is_ambiguous());
-        assert!(!OpOutcome::Ok.is_ambiguous());
         assert!(OpOutcome::TimedOutExecuted.executed());
         assert!(!OpOutcome::TimedOutLost.executed());
         assert!(OpOutcome::Ok.executed());
@@ -139,8 +123,6 @@ mod tests {
         h.push(rec(OpClass::QueueGet, OpOutcome::Faulted));
         assert_eq!(h.ambiguous_executed(), 1);
         assert_eq!(h.ambiguous_lost(), 1);
-        assert_eq!(h.executed_of(OpClass::QueuePut), 2);
-        assert_eq!(h.executed_of(OpClass::QueueGet), 0);
         assert_eq!(h.records().len(), 4);
     }
 }

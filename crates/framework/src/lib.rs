@@ -23,6 +23,8 @@
 //!   runtime built purely from queues, blobs and the indicator pattern —
 //!   the programming model the paper notes Azure lacks natively.
 
+#![forbid(unsafe_code)]
+
 pub mod bag;
 pub mod barrier;
 pub mod mapreduce;

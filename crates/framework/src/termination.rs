@@ -17,7 +17,6 @@ use std::time::Duration;
 pub struct TerminationIndicator<'e, E: Environment> {
     queue: QueueClient<'e, E>,
     env: &'e E,
-    poll_interval: Duration,
 }
 
 impl<'e, E: Environment> TerminationIndicator<'e, E> {
@@ -26,14 +25,7 @@ impl<'e, E: Environment> TerminationIndicator<'e, E> {
         TerminationIndicator {
             queue: QueueClient::new(env, queue_name),
             env,
-            poll_interval: Duration::from_secs(1),
         }
-    }
-
-    /// Change the polling interval used by [`wait_for`](Self::wait_for).
-    pub fn with_poll_interval(mut self, d: Duration) -> Self {
-        self.poll_interval = d;
-        self
     }
 
     /// Create the underlying queue (idempotent).
@@ -60,7 +52,7 @@ impl<'e, E: Environment> TerminationIndicator<'e, E> {
             if c >= n {
                 return Ok(c);
             }
-            self.env.sleep(self.poll_interval).await;
+            self.env.sleep(Duration::from_secs(1)).await;
         }
     }
 }

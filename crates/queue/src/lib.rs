@@ -21,6 +21,8 @@
 //! Timing (the 500 msg/s per-queue target, replication costs that make
 //! Peek < Put < Get) lives in `azsim-fabric`.
 
+#![forbid(unsafe_code)]
+
 pub mod queue;
 pub mod store;
 

@@ -215,8 +215,6 @@ pub(crate) struct ExecState<M: Model> {
     pub(crate) actor_time: Vec<SimTime>,
     /// One slot per actor; the event loop deposits the wakeup here.
     pub(crate) mailbox: Vec<Option<Mail<M::Resp>>>,
-    /// Per-actor count of [`ActorCtx::call`]s issued.
-    pub(crate) calls: Vec<u64>,
     /// Local partition sub-models. Plain runs have exactly one; a shard has
     /// one per owned partition.
     pub(crate) models: Vec<M>,
@@ -243,7 +241,6 @@ impl<M: Model> ExecState<M> {
             seq: vec![0; n],
             actor_time: vec![SimTime::ZERO; n],
             mailbox: (0..n).map(|_| None).collect(),
-            calls: vec![0; n],
             models,
             route,
             end_time: SimTime::ZERO,
@@ -511,15 +508,9 @@ impl<M: Model> ActorCtx<M> {
         self.state.borrow().actor_time[self.local as usize]
     }
 
-    /// Number of [`ActorCtx::call`]s issued so far.
-    pub fn call_count(&self) -> u64 {
-        self.state.borrow().calls[self.local as usize]
-    }
-
     /// Submit a request to the model and wait (in virtual time) until its
     /// response is delivered.
     pub async fn call(&self, req: M::Req) -> M::Resp {
-        self.state.borrow_mut().calls[self.local as usize] += 1;
         match (Wait {
             ctx: self,
             pending: Some(Pending::Call(req)),
@@ -1269,7 +1260,6 @@ mod tests {
             assert_eq!(val, 7);
             assert_eq!(done, SimTime::from_millis(10));
             assert_eq!(ctx.now(), done);
-            assert_eq!(ctx.call_count(), 1);
         });
         assert_eq!(report.requests, 1);
         assert_eq!(report.model.handled, vec![(0, 0, 7)]);
@@ -1352,7 +1342,6 @@ mod tests {
             let env = ctx.clone();
             env.call(1).await;
             assert_eq!(ctx.now(), env.now());
-            assert_eq!(ctx.call_count(), 1);
             ctx.sleep(Duration::from_millis(3)).await;
             assert_eq!(env.now(), ctx.now());
             env.now()

@@ -1,7 +1,5 @@
 //! Small statistics helpers used across the benchmark harness.
 
-use std::time::Duration;
-
 /// Online mean/min/max/variance accumulator (Welford's algorithm), used for
 /// per-operation latency summaries.
 #[derive(Clone, Debug)]
@@ -49,11 +47,6 @@ impl OnlineStats {
         if x > self.max {
             self.max = x;
         }
-    }
-
-    /// Record a duration in seconds.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Merge another accumulator into this one (parallel reduction).
@@ -236,11 +229,6 @@ impl Histogram {
         if x > self.max {
             self.max = x;
         }
-    }
-
-    /// Record a duration.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Merge another histogram into this one (element-wise bucket add).
@@ -463,13 +451,6 @@ mod tests {
         e.merge(&before);
         assert_eq!(e.count(), 1);
         assert_eq!(e.mean(), 3.0);
-    }
-
-    #[test]
-    fn record_duration_converts_to_seconds() {
-        let mut s = OnlineStats::new();
-        s.record_duration(Duration::from_millis(250));
-        assert!((s.mean() - 0.25).abs() < 1e-12);
     }
 
     /// |got − want| within the histogram's advertised relative error.

@@ -207,12 +207,6 @@ impl CounterSeries {
         self.series.record(t, delta);
     }
 
-    /// Tighten the underlying series' bucket budget (see
-    /// [`TimeSeries::shrink_to`]).
-    pub fn shrink_to(&mut self, max: usize) {
-        self.series.shrink_to(max);
-    }
-
     /// The delta series.
     pub fn series(&self) -> &TimeSeries {
         &self.series
@@ -251,17 +245,14 @@ pub struct CounterDeltaSeries {
     pub series: CounterSeries,
 }
 
-/// The telemetry hub: registered gauges, counters and a bounded event log,
-/// all sampled against virtual time.
+/// The telemetry hub: registered gauges and counters, all sampled against
+/// virtual time.
 #[derive(Clone, Debug)]
 pub struct GaugeRecorder {
     resolution: Duration,
     max_buckets: usize,
     gauges: Vec<GaugeSeries>,
     counters: Vec<CounterDeltaSeries>,
-    events: Vec<TimelineEvent>,
-    max_events: usize,
-    dropped_events: u64,
     /// Global bucket budget across every series (None: per-series caps
     /// only, the original behavior).
     bucket_budget: Option<usize>,
@@ -287,28 +278,19 @@ enum SeriesRef {
 impl GaugeRecorder {
     /// Default bucket budget per series.
     pub const DEFAULT_MAX_BUCKETS: usize = 512;
-    /// Default event-log bound.
-    pub const DEFAULT_MAX_EVENTS: usize = 4096;
 
     /// A recorder sampling at the given virtual-time resolution.
     pub fn new(resolution: Duration) -> Self {
-        Self::with_limits(
-            resolution,
-            Self::DEFAULT_MAX_BUCKETS,
-            Self::DEFAULT_MAX_EVENTS,
-        )
+        Self::with_limits(resolution, Self::DEFAULT_MAX_BUCKETS)
     }
 
-    /// A recorder with explicit bucket and event budgets.
-    pub fn with_limits(resolution: Duration, max_buckets: usize, max_events: usize) -> Self {
+    /// A recorder with an explicit per-series bucket budget.
+    pub fn with_limits(resolution: Duration, max_buckets: usize) -> Self {
         GaugeRecorder {
             resolution,
             max_buckets,
             gauges: Vec::new(),
             counters: Vec::new(),
-            events: Vec::new(),
-            max_events,
-            dropped_events: 0,
             bucket_budget: None,
             total_buckets: 0,
             live: 0,
@@ -333,11 +315,6 @@ impl GaugeRecorder {
     pub fn with_adaptive_budget(mut self, total: usize) -> Self {
         self.bucket_budget = Some(total.max(Self::MIN_SERIES_BUCKETS));
         self
-    }
-
-    /// The configured global bucket budget, if adaptive mode is on.
-    pub fn bucket_budget(&self) -> Option<usize> {
-        self.bucket_budget
     }
 
     /// Live buckets across every series right now.
@@ -446,19 +423,6 @@ impl GaugeRecorder {
         self.note_growth(SeriesRef::Counter(id.0), before, after);
     }
 
-    /// Append a discrete event (bounded; overflow is counted, not kept).
-    pub fn push_event(&mut self, at: SimTime, kind: impl Into<String>, label: impl Into<String>) {
-        if self.events.len() < self.max_events {
-            self.events.push(TimelineEvent {
-                at,
-                kind: kind.into(),
-                label: label.into(),
-            });
-        } else {
-            self.dropped_events += 1;
-        }
-    }
-
     /// Registered gauges in registration order.
     pub fn gauges(&self) -> &[GaugeSeries] {
         &self.gauges
@@ -467,16 +431,6 @@ impl GaugeRecorder {
     /// Registered counters in registration order.
     pub fn counters(&self) -> &[CounterDeltaSeries] {
         &self.counters
-    }
-
-    /// The retained events in arrival order.
-    pub fn events(&self) -> &[TimelineEvent] {
-        &self.events
-    }
-
-    /// Events lost to the bound.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped_events
     }
 }
 
@@ -614,8 +568,8 @@ mod tests {
     }
 
     #[test]
-    fn recorder_routes_by_id_and_bounds_events() {
-        let mut r = GaugeRecorder::with_limits(Duration::from_millis(10), 64, 2);
+    fn recorder_routes_by_id() {
+        let mut r = GaugeRecorder::with_limits(Duration::from_millis(10), 64);
         let g1 = r.register_gauge("depth", "ops");
         let g2 = r.register_gauge("fill", "tokens");
         let c1 = r.register_counter("ops");
@@ -627,11 +581,6 @@ mod tests {
         assert_eq!(r.gauges()[0].unit, "ops");
         assert_eq!(r.gauges()[1].series.sample_count(), 1);
         assert_eq!(r.counters()[0].series.series().sample_count(), 1);
-        for i in 0..5 {
-            r.push_event(at(i), "k", "l");
-        }
-        assert_eq!(r.events().len(), 2);
-        assert_eq!(r.dropped_events(), 3);
     }
 
     #[test]
@@ -675,8 +624,8 @@ mod tests {
 
     #[test]
     fn without_adaptive_budget_behavior_is_unchanged() {
-        let mut adaptive = GaugeRecorder::with_limits(Duration::from_millis(1), 512, 16);
-        let mut plain = GaugeRecorder::with_limits(Duration::from_millis(1), 512, 16);
+        let mut adaptive = GaugeRecorder::with_limits(Duration::from_millis(1), 512);
+        let mut plain = GaugeRecorder::with_limits(Duration::from_millis(1), 512);
         let a = adaptive.register_gauge("g", "x");
         let p = plain.register_gauge("g", "x");
         for t in 0..300u64 {
@@ -691,7 +640,7 @@ mod tests {
             adaptive.gauges()[0].series.resolution(),
             plain.gauges()[0].series.resolution()
         );
-        assert_eq!(plain.bucket_budget(), None);
+        assert_eq!(plain.bucket_budget, None);
     }
 
     /// The recorder as it was before budget enforcement was amortised,
@@ -719,7 +668,7 @@ mod tests {
                 total += g.series.len();
             }
             for c in &mut self.counters {
-                c.series.shrink_to(fair);
+                c.series.series.shrink_to(fair);
                 total += c.series.series().len();
             }
             self.total_buckets = total;

@@ -167,11 +167,6 @@ impl OpClass {
         }
     }
 
-    /// Whether the operation mutates service state.
-    pub fn is_write(self) -> bool {
-        self.sync_class() != SyncClass::ReadPrimary
-    }
-
     /// Whether the operation is control-plane (hits the partition master,
     /// not a data partition's scalability target).
     pub fn is_control(self) -> bool {
@@ -234,15 +229,6 @@ mod tests {
         assert_eq!(OpClass::BlobPutPage.service(), Service::Blob);
         assert_eq!(OpClass::QueueCount.service(), Service::Queue);
         assert_eq!(OpClass::TableUpdate.service(), Service::Table);
-    }
-
-    #[test]
-    fn reads_are_not_writes() {
-        assert!(!OpClass::TableQuery.is_write());
-        assert!(!OpClass::BlobDownload.is_write());
-        assert!(OpClass::TableUpdate.is_write());
-        assert!(OpClass::QueuePut.is_write());
-        assert!(OpClass::QueueGet.is_write());
     }
 
     #[test]

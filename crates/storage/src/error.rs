@@ -112,19 +112,6 @@ pub enum StorageError {
 }
 
 impl StorageError {
-    /// Whether the error is transient and worth retrying. Throttling is
-    /// the paper's case; timeouts and server faults are the fault-injection
-    /// extensions — all three clear up if the caller waits and retries.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            StorageError::ServerBusy { .. }
-                | StorageError::SlowDown { .. }
-                | StorageError::Timeout { .. }
-                | StorageError::ServerFault { .. }
-        )
-    }
-
     /// The server's hint for how long to wait before retrying, if the
     /// error carried one.
     pub fn retry_after(&self) -> Option<Duration> {
@@ -195,29 +182,6 @@ impl std::error::Error for StorageError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transient_errors_are_retryable() {
-        assert!(StorageError::ServerBusy {
-            retry_after: Duration::from_secs(1)
-        }
-        .is_retryable());
-        assert!(StorageError::SlowDown {
-            retry_after: Duration::from_millis(100)
-        }
-        .is_retryable());
-        assert!(StorageError::Timeout {
-            elapsed: Duration::from_secs(30)
-        }
-        .is_retryable());
-        assert!(StorageError::ServerFault {
-            retry_after: Duration::from_secs(10)
-        }
-        .is_retryable());
-        assert!(!StorageError::EntityNotFound.is_retryable());
-        assert!(!StorageError::PreconditionFailed.is_retryable());
-        assert!(!StorageError::PopReceiptMismatch.is_retryable());
-    }
 
     #[test]
     fn retry_after_hint_only_where_the_server_provides_one() {

@@ -6,9 +6,6 @@
 pub struct ETag(pub u64);
 
 impl ETag {
-    /// The first tag issued for a new entity.
-    pub const INITIAL: ETag = ETag(1);
-
     /// The tag an update bumps to.
     pub fn next(self) -> ETag {
         ETag(self.0 + 1)
@@ -43,7 +40,6 @@ mod tests {
 
     #[test]
     fn next_increments() {
-        assert_eq!(ETag::INITIAL.next(), ETag(2));
         assert_eq!(ETag(41).next(), ETag(42));
     }
 

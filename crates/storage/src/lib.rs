@@ -11,6 +11,8 @@
 //! The three service state machines live in `azsim-blob`, `azsim-queue` and
 //! `azsim-table`; the latency/throttling model lives in `azsim-fabric`.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod entity;
 pub mod error;

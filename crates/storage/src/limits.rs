@@ -2,18 +2,12 @@
 //! (2011/2012-era API versions). Every limit is enforced by the service
 //! state machines or by the fabric throttles.
 
-/// Maximum total capacity of one storage account (100 TB).
-pub const ACCOUNT_CAPACITY: u64 = 100 * TB;
-
 /// Maximum transactions (entities/messages/blobs) per second for a single
 /// storage account. Exceeding this can fail a role instance.
 pub const ACCOUNT_TX_PER_SEC: f64 = 5_000.0;
 
 /// Maximum bandwidth for a single storage account (3 GB/s).
 pub const ACCOUNT_BANDWIDTH: f64 = 3.0 * GB as f64;
-
-/// Throughput ceiling of a single blob (60 MB/s), per partition server.
-pub const BLOB_THROUGHPUT: f64 = 60.0 * MB as f64;
 
 /// Maximum size of one block within a block blob (4 MB).
 pub const MAX_BLOCK_SIZE: u64 = 4 * MB;
@@ -37,10 +31,6 @@ pub const MAX_PAGE_WRITE: u64 = 4 * MB;
 
 /// Maximum size of a page blob (1 TB).
 pub const MAX_PAGE_BLOB_SIZE: u64 = TB;
-
-/// Maximum raw size of a queue message (64 KB, October 2011 APIs; it used to
-/// be 8 KB).
-pub const MAX_MESSAGE_RAW: u64 = 64 * KB;
 
 /// Maximum *usable* payload of a queue message: 48 KB (49 152 bytes) — the
 /// remainder of the 64 KB raw size is Base64/metadata overhead. The paper
@@ -91,7 +81,6 @@ mod tests {
     fn usable_payload_is_49152_bytes() {
         // "48 KB (49152 Bytes to be precise) is the maximum usable size."
         assert_eq!(MAX_MESSAGE_PAYLOAD, 49_152);
-        assert!(MAX_MESSAGE_PAYLOAD < MAX_MESSAGE_RAW);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! Updates and deletes are conditional on ETags; the paper benchmarks the
 //! unconditional flavour via the `*` wildcard.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod store;
 

@@ -6,8 +6,8 @@
 //! task per cell carrying only the *blob name* (the paper's guidance for
 //! payloads beyond the 48 KB message limit). Worker roles fetch their
 //! cell's geometry from Blob storage, compute the polygon-overlay
-//! intersection areas with rayon-parallel local compute, store per-cell
-//! results in Table storage, and signal the termination-indicator queue.
+//! intersection areas locally, store per-cell results in Table storage,
+//! and signal the termination-indicator queue.
 //!
 //! ```text
 //! cargo run --release -p azurebench --example gis_overlay
@@ -19,7 +19,6 @@ use azsim_fabric::ClusterParams;
 use azsim_framework::BagOfTasks;
 use azsim_storage::{Entity, PropValue};
 use bytes::Bytes;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -145,9 +144,9 @@ fn main() {
                     let b: Vec<Rect> =
                         serde_json::from_slice(&blobs.download(&task.blob_b).await.unwrap())
                             .unwrap();
-                    // Compute phase: rayon-parallel pairwise overlay.
+                    // Compute phase: pairwise overlay.
                     let area: f64 = a
-                        .par_iter()
+                        .iter()
                         .map(|ra| b.iter().map(|rb| ra.intersect(rb).area()).sum::<f64>())
                         .sum();
                     results

@@ -9,6 +9,8 @@
 //!   module path and name), so runs are fully deterministic with no
 //!   `PROPTEST_*` environment knobs.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hash::{Hash, Hasher};

@@ -11,6 +11,8 @@
 //! upstream crate — nothing in this repository depends on upstream value
 //! sequences, only on determinism per seed.
 
+#![forbid(unsafe_code)]
+
 /// Low-level uniform bit source.
 pub trait RngCore {
     /// Next 64 uniform random bits.

@@ -13,6 +13,8 @@
 //! are kept as raw decimal text inside [`value::Value`] and parsed
 //! directly into the target type, never through `f64`.
 
+#![forbid(unsafe_code)]
+
 // The derive macros and the traits share names, in separate namespaces —
 // exactly how upstream serde's root re-exports behave.
 pub use de::{Deserialize, DeserializeOwned};

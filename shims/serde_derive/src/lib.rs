@@ -14,6 +14,8 @@
 //! each type param simply gains a `Serialize`/`Deserialize` bound on the
 //! generated impl.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// One named field: `name` (type tokens are skipped — codegen never needs

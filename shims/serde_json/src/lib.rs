@@ -2,6 +2,8 @@
 //! traits (which are JSON-oriented directly, so this crate is mostly
 //! plumbing and error-type adaptation).
 
+#![forbid(unsafe_code)]
+
 use serde::de::DeserializeOwned;
 use serde::ser::Serialize;
 

@@ -1,8 +1,10 @@
 //! The command-line contract of the `figures` and `ycsb` binaries, checked
 //! on the real executables: bad input is a message on stderr and exit 2 —
-//! never a silent success, never a panic.
+//! never a silent success, never a panic. Also the build contract of the
+//! manifests: every declared dependency is used, and so is every shim.
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
@@ -115,4 +117,77 @@ fn a_repeated_backend_runs_once() {
         );
         assert_eq!(stderr.matches("# ---- backend: was").count(), 1, "{stderr}");
     }
+}
+
+/// The string value of `key = "…"` on a manifest line, if that is the line.
+fn toml_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let (k, v) = line.split_once('=')?;
+    (k.trim() == key).then(|| v.trim().trim_matches('"'))
+}
+
+/// Append every `.rs` file under `dir` to `out`.
+fn read_sources(dir: &Path, out: &mut String) {
+    for entry in std::fs::read_dir(dir).unwrap().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            read_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push_str(&std::fs::read_to_string(&path).unwrap());
+        }
+    }
+}
+
+#[test]
+fn every_dependency_is_used_and_every_shim_is_depended_on() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (mut unused, mut depended_on) = (Vec::new(), BTreeSet::new());
+    for group in ["crates", "shims"] {
+        for member in std::fs::read_dir(root.join(group)).unwrap().flatten() {
+            let dir = member.path();
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+            // The member's sources: its own tree plus any `path = "….rs"`
+            // target that lives outside it (the workspace tests and examples).
+            let mut src = String::new();
+            read_sources(&dir.join("src"), &mut src);
+            if dir.join("tests").is_dir() {
+                read_sources(&dir.join("tests"), &mut src);
+            }
+            let (mut package, mut section, mut deps) = ("", "", Vec::new());
+            for line in manifest.lines().map(str::trim) {
+                if line.starts_with('[') {
+                    section = line;
+                    continue;
+                }
+                match section {
+                    "[package]" => package = toml_str(line, "name").unwrap_or(package),
+                    "[dependencies]" | "[dev-dependencies]" => {
+                        deps.extend(line.split_once('=').map(|(dep, _)| dep.trim()))
+                    }
+                    _ => {
+                        if let Some(path) = toml_str(line, "path").filter(|p| p.ends_with(".rs")) {
+                            src.push_str(&std::fs::read_to_string(dir.join(path)).unwrap());
+                        }
+                    }
+                }
+            }
+            for dep in deps {
+                let krate = dep.replace('-', "_");
+                if !src.contains(&format!("{krate}::")) && !src.contains(&format!("use {krate}")) {
+                    unused.push(format!("{package} → {dep}"));
+                }
+                depended_on.insert(dep.to_owned());
+            }
+        }
+    }
+    let orphans: Vec<String> = std::fs::read_dir(root.join("shims"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().into_string().unwrap())
+        .filter(|shim| !depended_on.contains(shim))
+        .collect();
+    assert!(unused.is_empty(), "declared but never named: {unused:?}");
+    assert!(
+        orphans.is_empty(),
+        "shims no member depends on: {orphans:?}"
+    );
 }
