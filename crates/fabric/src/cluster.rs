@@ -94,6 +94,23 @@ fn update_limited_object(req: &StorageRequest) -> Option<String> {
     }
 }
 
+/// How one submitted operation ended: everything [`Cluster::finish`]
+/// accounts for it.
+struct OpEnd {
+    issued: SimTime,
+    done: SimTime,
+    actor: usize,
+    class: OpClass,
+    slot: usize,
+    outcome: OpOutcome,
+    /// Rejected by a throttle or an injected storm, whatever the client
+    /// then observed.
+    throttled: bool,
+    bytes_up: u64,
+    bytes_down: u64,
+    phases: PhaseBreadcrumb,
+}
+
 /// The simulated storage cluster for one account.
 pub struct Cluster {
     params: ClusterParams,
@@ -317,29 +334,6 @@ impl Cluster {
             .ok()
             .flatten()
             .map(|(e, _)| e)
-    }
-
-    /// Append one history record (no-op unless history is enabled).
-    #[allow(clippy::too_many_arguments)]
-    fn record_op(
-        &mut self,
-        issued: SimTime,
-        completed: SimTime,
-        actor: usize,
-        class: OpClass,
-        slot: usize,
-        outcome: OpOutcome,
-    ) {
-        if let Some(h) = &mut self.history {
-            h.push(OpRecord {
-                issued,
-                completed,
-                actor,
-                class,
-                partition: self.slots[slot].key.clone(),
-                outcome,
-            });
-        }
     }
 
     /// Exportable snapshot of everything the cluster measured: per-class
@@ -917,49 +911,70 @@ impl Cluster {
         );
     }
 
-    /// Account one outcome on the timeline (no-op unless enabled).
-    fn timeline_outcome(&mut self, now: SimTime, done: SimTime, throttled: bool) {
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.note_outcome(now, done, throttled);
-        }
-    }
-
-    /// Record one trace row, if tracing is on.
-    #[allow(clippy::too_many_arguments)]
-    fn trace(
+    /// Account one finished operation in every sink — the class counters,
+    /// the timeline, the tracer and the history — and hand back its
+    /// completion time and result. Every exit of [`Cluster::submit`] ends
+    /// here.
+    #[inline(always)]
+    fn finish(
         &mut self,
-        issued: SimTime,
-        completed: SimTime,
-        actor: usize,
-        class: OpClass,
-        outcome: TraceOutcome,
-        bytes_up: u64,
-        bytes_down: u64,
-        phases: PhaseBreadcrumb,
-    ) {
+        op: OpEnd,
+        result: StorageResult<StorageOk>,
+    ) -> (SimTime, StorageResult<StorageOk>) {
+        let c = self.metrics.counter_mut(op.class);
+        if op.throttled {
+            c.throttled += 1;
+        } else if op.outcome.executed() {
+            // A lost ack still counts as executed server-side, but no
+            // response arrived, so the latency histogram sees no sample.
+            c.completed += 1;
+            c.bytes_up += op.bytes_up;
+            c.bytes_down += op.bytes_down;
+            if op.outcome == OpOutcome::Ok {
+                c.latency.record((op.done - op.issued).as_secs_f64());
+            }
+        } else {
+            c.failed += 1;
+        }
+        let timed_out = matches!(
+            op.outcome,
+            OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted
+        );
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.note_outcome(op.issued, op.done, op.throttled);
+            if timed_out {
+                tl.note_ambiguous(op.issued);
+            }
+        }
         if let Some(tr) = &mut self.tracer {
             tr.record(TraceRecord {
-                issued,
-                completed,
-                actor,
-                class,
-                outcome,
-                bytes_up,
-                bytes_down,
-                phases,
+                issued: op.issued,
+                completed: op.done,
+                actor: op.actor,
+                class: op.class,
+                outcome: match op.outcome {
+                    OpOutcome::Ok => TraceOutcome::Ok,
+                    OpOutcome::Throttled => TraceOutcome::Throttled,
+                    OpOutcome::Faulted => TraceOutcome::Faulted,
+                    OpOutcome::Error => TraceOutcome::Failed,
+                    OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted => TraceOutcome::TimedOut,
+                },
+                bytes_up: op.bytes_up,
+                bytes_down: op.bytes_down,
+                phases: op.phases,
             });
         }
-    }
-
-    /// Breadcrumb for a request rejected (or dropped) at `rejected` after
-    /// reaching the front end, completing at `done`: the time before the
-    /// rejection point is client send, the rest is the rejection round trip
-    /// (or the elapsed timeout of a drop).
-    fn reject_phases(issued: SimTime, rejected: SimTime, done: SimTime) -> PhaseBreadcrumb {
-        let mut phases = PhaseBreadcrumb::new();
-        phases.add(Phase::ClientSend, rejected.saturating_since(issued));
-        phases.add(Phase::Rejection, done.saturating_since(rejected));
-        phases
+        if let Some(h) = &mut self.history {
+            h.push(OpRecord {
+                issued: op.issued,
+                completed: op.done,
+                actor: op.actor,
+                class: op.class,
+                partition: self.slots[op.slot].key.clone(),
+                outcome: op.outcome,
+            });
+        }
+        (op.done, result)
     }
 
     /// Whether the 16 KB `GetMessage` anomaly applies to this payload.
@@ -997,117 +1012,66 @@ impl Cluster {
         // state transition and replication, and only the response is lost.
         let sidx = self.slots[slot].server;
         let t_fault = t;
+        // A request rejected (or dropped) at the front end, completing at
+        // `done`: the time up to the rejection point is client send, the
+        // rest the rejection round trip (or the elapsed timeout of a drop).
+        let rejected = |done: SimTime, outcome, throttled| {
+            let mut phases = PhaseBreadcrumb::new();
+            phases.add(Phase::ClientSend, t_fault.saturating_since(now));
+            phases.add(Phase::Rejection, done.saturating_since(t_fault));
+            OpEnd {
+                issued: now,
+                done,
+                actor,
+                class,
+                slot,
+                outcome,
+                throttled,
+                bytes_up: up,
+                bytes_down: 0,
+                phases,
+            }
+        };
         let mut ack_loss: Option<Duration> = None;
         match self.faults.decide(t, class, &self.slots[slot].key, sidx) {
             FaultDecision::None => {}
             FaultDecision::AckLoss { elapsed } => ack_loss = Some(elapsed),
             FaultDecision::Busy { retry_after } => {
-                self.metrics.counter_mut(class).throttled += 1;
-                let done = t + Duration::from_millis(1);
-                self.timeline_outcome(now, done, true);
-                let phases = Self::reject_phases(now, t, done);
-                self.trace(
-                    now,
-                    done,
-                    actor,
-                    class,
-                    TraceOutcome::Throttled,
-                    up,
-                    0,
-                    phases,
-                );
-                self.record_op(now, done, actor, class, slot, OpOutcome::Throttled);
-                return (done, Err(StorageError::ServerBusy { retry_after }));
+                let op = rejected(t + Duration::from_millis(1), OpOutcome::Throttled, true);
+                return self.finish(op, Err(StorageError::ServerBusy { retry_after }));
             }
             FaultDecision::Fault { retry_after } => {
-                self.metrics.counter_mut(class).failed += 1;
-                let done = t + Duration::from_millis(1);
-                self.timeline_outcome(now, done, false);
-                let phases = Self::reject_phases(now, t, done);
-                self.trace(
-                    now,
-                    done,
-                    actor,
-                    class,
-                    TraceOutcome::Faulted,
-                    up,
-                    0,
-                    phases,
-                );
-                self.record_op(now, done, actor, class, slot, OpOutcome::Faulted);
-                return (done, Err(StorageError::ServerFault { retry_after }));
+                let op = rejected(t + Duration::from_millis(1), OpOutcome::Faulted, false);
+                return self.finish(op, Err(StorageError::ServerFault { retry_after }));
             }
             FaultDecision::Drop { elapsed } => {
                 // The request vanishes; the client's wait expires. No
                 // state transition happens server-side.
-                self.metrics.counter_mut(class).failed += 1;
-                let done = t + elapsed;
-                self.timeline_outcome(now, done, false);
-                if let Some(tl) = self.timeline.as_mut() {
-                    tl.note_ambiguous(now);
-                }
-                let phases = Self::reject_phases(now, t, done);
-                self.trace(
-                    now,
-                    done,
-                    actor,
-                    class,
-                    TraceOutcome::TimedOut,
-                    up,
-                    0,
-                    phases,
-                );
-                self.record_op(now, done, actor, class, slot, OpOutcome::TimedOutLost);
-                return (done, Err(StorageError::Timeout { elapsed }));
+                let op = rejected(t + elapsed, OpOutcome::TimedOutLost, false);
+                return self.finish(op, Err(StorageError::Timeout { elapsed }));
             }
         }
 
         // Declared rate limits, shaped per backend: WAS surfaces the token
         // bucket's computed deficit floored at the coarse Retry-After, S3
-        // a doubling SlowDown curve, GCS exponential pushback.
+        // a doubling SlowDown curve, GCS exponential pushback. Only these
+        // rejections heat the partition; an injected storm does not.
         if let Err(throttle_err) = self.throttle(t, class, slot, req) {
             self.slots[slot].throttled += 1;
-            let c = self.metrics.counter_mut(class);
-            c.throttled += 1;
-            if let Some(elapsed) = ack_loss {
+            return match ack_loss {
                 // The throttle rejected the request before it executed,
                 // but the (rejection) response is the part that gets lost:
                 // the client still observes an opaque timeout.
-                let done = t_fault + elapsed;
-                self.timeline_outcome(now, done, true);
-                if let Some(tl) = self.timeline.as_mut() {
-                    tl.note_ambiguous(now);
+                Some(elapsed) => {
+                    let op = rejected(t_fault + elapsed, OpOutcome::TimedOutLost, true);
+                    self.finish(op, Err(StorageError::Timeout { elapsed }))
                 }
-                let phases = Self::reject_phases(now, t, done);
-                self.trace(
-                    now,
-                    done,
-                    actor,
-                    class,
-                    TraceOutcome::TimedOut,
-                    up,
-                    0,
-                    phases,
-                );
-                self.record_op(now, done, actor, class, slot, OpOutcome::TimedOutLost);
-                return (done, Err(StorageError::Timeout { elapsed }));
-            }
-            // The rejection itself is a fast round trip.
-            let done = t + Duration::from_millis(1);
-            self.timeline_outcome(now, done, true);
-            let phases = Self::reject_phases(now, t, done);
-            self.trace(
-                now,
-                done,
-                actor,
-                class,
-                TraceOutcome::Throttled,
-                up,
-                0,
-                phases,
-            );
-            self.record_op(now, done, actor, class, slot, OpOutcome::Throttled);
-            return (done, Err(throttle_err));
+                // The rejection itself is a fast round trip.
+                None => {
+                    let op = rejected(t + Duration::from_millis(1), OpOutcome::Throttled, true);
+                    self.finish(op, Err(throttle_err))
+                }
+            };
         }
 
         // Account + server data path for the uplink payload.
@@ -1233,75 +1197,7 @@ impl Cluster {
         let (_, t2) = self.nic(actor).transfer(t, down);
         t = t2;
 
-        // A lost ack: the operation ran to completion above (state
-        // transition, replication, even the response transfers — the loss
-        // happens en route), but the client's wait expires instead. The
-        // server-side ledger still counts the execution; the client-side
-        // latency histogram does not see a sample because no response
-        // arrived.
-        if let Some(elapsed) = ack_loss {
-            let done = (t_fault + elapsed).max(t);
-            let c = self.metrics.counter_mut(class);
-            match &result {
-                Ok(_) => {
-                    c.completed += 1;
-                    c.bytes_up += up;
-                }
-                Err(_) => c.failed += 1,
-            }
-            self.timeline_outcome(now, done, false);
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.note_ambiguous(now);
-            }
-            let mut phases = PhaseBreadcrumb::new();
-            phases.add(Phase::ClientSend, t_arrive.saturating_since(now));
-            phases.add(Phase::QueueWait, start.saturating_since(t_arrive));
-            phases.add(Phase::Service, t_service_end.saturating_since(start));
-            phases.add(
-                Phase::ReplicaSync,
-                t_replica_end.saturating_since(t_service_end),
-            );
-            phases.add(Phase::Rejection, done.saturating_since(t_replica_end));
-            self.trace(
-                now,
-                done,
-                actor,
-                class,
-                TraceOutcome::TimedOut,
-                up,
-                0,
-                phases,
-            );
-            let outcome = if result.is_ok() {
-                OpOutcome::TimedOutExecuted
-            } else {
-                // The request reached the server but the state machine
-                // rejected it (e.g. AlreadyExists): nothing changed, and
-                // the definite answer was lost with the ack.
-                OpOutcome::TimedOutLost
-            };
-            self.record_op(now, done, actor, class, slot, outcome);
-            return (done, Err(StorageError::Timeout { elapsed }));
-        }
-
-        // Account for the op.
-        let c = self.metrics.counter_mut(class);
-        match &result {
-            Ok(_) => {
-                c.completed += 1;
-                c.bytes_up += up;
-                c.bytes_down += down;
-                c.latency.record((t - now).as_secs_f64());
-            }
-            Err(_) => c.failed += 1,
-        }
-        self.timeline_outcome(now, t, false);
-        let outcome = if result.is_ok() {
-            TraceOutcome::Ok
-        } else {
-            TraceOutcome::Failed
-        };
-        // Stage boundaries partition [now, t] exactly: client send up to
+        // Stage boundaries partition [now, done] exactly: client send up to
         // FIFO arrival, queue wait to service start, service through the
         // quirk, replica sync, then the downlink transfer.
         let mut phases = PhaseBreadcrumb::new();
@@ -1312,15 +1208,44 @@ impl Cluster {
             Phase::ReplicaSync,
             t_replica_end.saturating_since(t_service_end),
         );
-        phases.add(Phase::Transfer, t.saturating_since(t_replica_end));
-        self.trace(now, t, actor, class, outcome, up, down, phases);
-        let op_outcome = if result.is_ok() {
-            OpOutcome::Ok
-        } else {
-            OpOutcome::Error
+        let mut op = OpEnd {
+            issued: now,
+            done: t,
+            actor,
+            class,
+            slot,
+            outcome: if result.is_ok() {
+                OpOutcome::Ok
+            } else {
+                OpOutcome::Error
+            },
+            throttled: false,
+            bytes_up: up,
+            bytes_down: down,
+            phases,
         };
-        self.record_op(now, t, actor, class, slot, op_outcome);
-        (t, result)
+
+        // A lost ack: the operation ran to completion above (state
+        // transition, replication, even the response transfers — the loss
+        // happens en route), but the client's wait expires instead, and
+        // no response bytes arrive. A request the state machine rejected
+        // (e.g. AlreadyExists) changed nothing, and its definite answer
+        // was lost with the ack.
+        if let Some(elapsed) = ack_loss {
+            op.done = (t_fault + elapsed).max(t);
+            op.phases
+                .add(Phase::Rejection, op.done.saturating_since(t_replica_end));
+            op.bytes_down = 0;
+            op.outcome = if result.is_ok() {
+                OpOutcome::TimedOutExecuted
+            } else {
+                OpOutcome::TimedOutLost
+            };
+            return self.finish(op, Err(StorageError::Timeout { elapsed }));
+        }
+        op.phases
+            .add(Phase::Transfer, t.saturating_since(t_replica_end));
+        self.finish(op, result)
     }
 }
 
@@ -1852,6 +1777,180 @@ mod tests {
         // The FIFO barely worked in comparison.
         let fifo = usage.iter().find(|u| u.resource == "fifo:queue:q").unwrap();
         assert!(fifo.saturation < bucket.saturation);
+    }
+
+    /// Every way `submit` can end, as every sink sees it: the class
+    /// counter, the partition heat, the trace row, the history record and
+    /// the timeline counters, plus the completion time and the result.
+    #[test]
+    fn every_submit_exit_feeds_every_sink() {
+        use crate::faults::{BusyStorm, PartitionBlackout};
+        /// Class counter (completed, throttled, failed, bytes up, bytes
+        /// down, latency samples), partition heat, and timeline counters
+        /// (submitted, throttled, ambiguous).
+        fn sinks(c: &Cluster, probe: &StorageRequest) -> [u64; 10] {
+            let k = c.metrics().counter(probe.class()).cloned();
+            let k = k.unwrap_or_default();
+            let heat = c
+                .slots
+                .iter()
+                .find(|s| probe.partition_ref().matches(&s.key));
+            let timeline = |name: &str| {
+                let counters = c.timeline().unwrap().recorder().counters();
+                let s = counters.iter().find(|s| s.name == name).unwrap();
+                s.series.series().iter().map(|(_, b)| b.sum).sum::<f64>() as u64
+            };
+            [
+                k.completed,
+                k.throttled,
+                k.failed,
+                k.bytes_up,
+                k.bytes_down,
+                k.latency.count(),
+                heat.map_or(0, |s| s.throttled),
+                timeline("ops.submitted"),
+                timeline("ops.throttled"),
+                timeline("ops.ambiguous"),
+            ]
+        }
+
+        let hour = Duration::from_secs(3_600);
+        let storm = FaultPlan {
+            busy_storms: vec![BusyStorm {
+                at: SimTime::ZERO,
+                duration: hour,
+                retry_after: Duration::from_secs(2),
+            }],
+            ..FaultPlan::default()
+        };
+        let blackout = FaultPlan {
+            blackouts: vec![PartitionBlackout {
+                partition: PartitionKey::Queue { queue: "q".into() },
+                at: SimTime::ZERO,
+                duration: hour,
+            }],
+            ..FaultPlan::default()
+        };
+        let drop = FaultPlan {
+            timeout_prob: 1.0,
+            ..FaultPlan::default()
+        };
+        let ack = FaultPlan {
+            ack_loss_prob: 1.0,
+            ..FaultPlan::default()
+        };
+        let none = FaultPlan::default();
+        let get = StorageRequest::GetMessage {
+            queue: "q".into(),
+            visibility_timeout: Duration::from_secs(30),
+        };
+        let put = |queue| put_msg(queue, 16);
+        // (exit, fault plan, 1 msg/s bucket, probe, what the sinks saw): the
+        // `sinks` deltas, trace outcome / bytes down, history outcome,
+        // latency in ns and the result.
+        let exits = [
+            (
+                "busy storm",
+                &storm,
+                false,
+                put("q"),
+                "[0, 1, 0, 0, 0, 0, 0, 1, 1, 0] Throttled/0 Throttled 3001221 Err(ServerBusy { retry_after: 2s })",
+            ),
+            (
+                "blackout",
+                &blackout,
+                false,
+                put("q"),
+                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 0] Faulted/0 Faulted 3001221 Err(ServerFault { retry_after: 3599.987998779s })",
+            ),
+            (
+                "dropped request",
+                &drop,
+                false,
+                put("q"),
+                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 1] TimedOut/0 TimedOutLost 30002001221 Err(Timeout { elapsed: 30s })",
+            ),
+            (
+                "bucket throttle",
+                &none,
+                true,
+                put("q"),
+                "[0, 1, 0, 0, 0, 0, 1, 1, 1, 0] Throttled/0 Throttled 3001221 Err(ServerBusy { retry_after: 1s })",
+            ),
+            (
+                "throttle with a lost ack",
+                &ack,
+                true,
+                put("q"),
+                "[0, 1, 0, 0, 0, 0, 1, 1, 1, 1] TimedOut/0 TimedOutLost 30002001221 Err(Timeout { elapsed: 30s })",
+            ),
+            (
+                "lost ack after an executed write",
+                &ack,
+                false,
+                put("q"),
+                "[1, 0, 0, 16, 0, 0, 0, 1, 0, 1] TimedOut/0 TimedOutExecuted 30002001221 Err(Timeout { elapsed: 30s })",
+            ),
+            (
+                "lost ack after a semantic error",
+                &ack,
+                false,
+                put("nope"),
+                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 1] TimedOut/0 TimedOutLost 30002001221 Err(Timeout { elapsed: 30s })",
+            ),
+            (
+                "plain ok",
+                &none,
+                false,
+                get,
+                "[1, 0, 0, 0, 16, 1, 0, 1, 0, 0] Ok/16 Ok 19501288 Ok(())",
+            ),
+            (
+                "plain error",
+                &none,
+                false,
+                put("nope"),
+                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 0] Failed/0 Error 3501288 Err(QueueNotFound(\"nope\"))",
+            ),
+        ];
+        for (name, plan, throttling, probe, want) in exits {
+            let mut c = Cluster::new(match throttling {
+                true => ClusterParams {
+                    throttle_burst: 1.0,
+                    queue_rate: 1.0,
+                    ..ClusterParams::default()
+                },
+                false => ClusterParams::default(),
+            });
+            c.enable_tracing(16);
+            c.enable_history();
+            c.enable_timeline(Duration::from_millis(1));
+            // A message for the read to find, a token spent for the throttle.
+            c.submit(
+                SimTime::ZERO,
+                0,
+                &StorageRequest::CreateQueue { queue: "q".into() },
+            )
+            .1
+            .unwrap();
+            c.submit(SimTime::ZERO, 0, &put("q")).1.unwrap();
+            c.set_fault_plan(plan.clone());
+            let before = sinks(&c, &probe);
+            let (done, r) = c.submit(at(10), 1, &probe);
+            let mut d = sinks(&c, &probe);
+            d.iter_mut().zip(before).for_each(|(a, b)| *a -= b);
+            let rec = *c.tracer().unwrap().records().last().unwrap();
+            let h = c.history().unwrap().records().last().unwrap();
+            let (lat, r) = ((done - at(10)).as_nanos(), r.map(|_| ()));
+            let (trace, down) = (rec.outcome, rec.bytes_down);
+            let seen = format!("{d:?} {trace:?}/{down} {:?} {lat} {r:?}", h.outcome);
+            assert_eq!(seen, want, "{name}");
+            let span = (rec.issued, rec.completed, rec.phases.total());
+            assert_eq!(span, (at(10), done, done - at(10)), "{name}: trace span");
+            assert_eq!((rec.actor, rec.class), (1, probe.class()), "{name}");
+            assert_eq!(rec.bytes_up, probe.payload_bytes_up(), "{name}");
+            assert_eq!((h.issued, h.completed), (at(10), done), "{name}");
+        }
     }
 
     proptest::proptest! {

@@ -9,16 +9,17 @@
 //!   [`resource::TokenBucket`]) used by the cluster model to turn operation
 //!   descriptions into virtual latencies.
 //! * [`runtime::Simulation`] — a single-threaded stackless-coroutine
-//!   virtual-time executor. Each simulated role instance is a boxed future;
-//!   the event heap drives polling directly (the popped event's actor is
-//!   polled in place with a no-op waker), so a handoff between actors is a
-//!   function call instead of an OS park/unpark. Same seed ⇒ identical
-//!   results.
+//!   virtual-time executor. Each simulated role instance is a future in one
+//!   contiguous arena; the event heap drives polling directly (the popped
+//!   event's actor is polled in place with a no-op waker), so a handoff
+//!   between actors is a function call instead of an OS park/unpark. Same
+//!   seed ⇒ identical results.
 //! * [`shard::ShardedSimulation`] — a sharded conservative parallel
 //!   executor: the event loop is partitioned across OS threads under a
 //!   [`shard::ShardPlan`], synchronized in lookahead windows, and reproduces
 //!   the serial `(time, actor, seq)` observable history bit-for-bit at every
-//!   shard count.
+//!   shard count. A `Simulation` is its one-shard case: one loop launches,
+//!   drains and tears down both.
 //! * [`threaded::ThreadedSimulation`] — the original thread-per-actor
 //!   baton-scheduling executor, retained as an executable reference for
 //!   differential testing and for actor bodies that must block the host

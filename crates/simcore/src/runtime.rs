@@ -83,13 +83,17 @@
 //!   caller — single-threaded execution needs no cascade-teardown machinery,
 //!   and the payload is always the root cause.
 //!
-//! Per-actor cost is one future (stored **unboxed** in a contiguous arena
-//! for the homogeneous [`Simulation::run_workers`] shape) instead of an OS
-//! thread stack, so simulations scale far past the paper's ~100-worker
-//! ceiling.
+//! Per-actor cost is one future instead of an OS thread stack, so
+//! simulations scale far past the paper's ~100-worker ceiling. Every run
+//! keeps its futures in one contiguous arena: unboxed for the homogeneous
+//! [`Simulation::run_workers`] shape, one box each for the heterogeneous
+//! [`Simulation::run`]. A `Simulation` is the one-shard case of the sharded
+//! executor ([`crate::shard`]): the same function launches, drains and
+//! tears down both.
 
 use crate::heap::{EventHeap, EventKey};
 use crate::rng::actor_rng;
+use crate::shard::{drive, report};
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use std::cell::RefCell;
@@ -254,8 +258,8 @@ impl<M: Model> ExecState<M> {
     /// `None`), recording it in the event count, end time and — when enabled
     /// — the observable history.
     pub(crate) fn pop_due(&mut self, horizon: Option<SimTime>) -> Option<(EventKey, Payload<M>)> {
-        if let (Some(t), Some(h)) = (self.heap.peek_time(), horizon) {
-            if t >= h {
+        if let Some(h) = horizon {
+            if self.heap.peek_time().is_some_and(|t| t >= h) {
                 return None;
             }
         }
@@ -606,52 +610,11 @@ where
     Box::new(move |ctx| Box::pin(f(ctx)) as ActorFuture<'a, R>)
 }
 
-/// Storage for actor futures, polled by store index.
-///
-/// Two layouts implement it: [`BoxedStore`] (heterogeneous, one allocation
-/// per actor) and [`ArenaStore`] (homogeneous, all futures contiguous in one
-/// `Vec` — the cache-local layout the worker ladders run on).
-pub(crate) trait ActorStore<R> {
-    /// Poll live slot `i`; panics if that actor already finished.
-    fn poll(&mut self, i: usize, cx: &mut Context<'_>) -> Poll<R>;
-    /// Whether slot `i` still holds an unfinished actor.
-    fn live(&self, i: usize) -> bool;
-    fn len(&self) -> usize;
-
-    fn live_count(&self) -> usize {
-        (0..self.len()).filter(|&i| self.live(i)).count()
-    }
-}
-
-/// One boxed future per slot; finished slots are dropped eagerly.
-pub(crate) struct BoxedStore<'a, R> {
-    slots: Vec<Option<ActorFuture<'a, R>>>,
-}
-
-impl<R> ActorStore<R> for BoxedStore<'_, R> {
-    fn poll(&mut self, i: usize, cx: &mut Context<'_>) -> Poll<R> {
-        let fut = self.slots[i]
-            .as_mut()
-            .expect("wakeup delivered to an actor that already finished");
-        let polled = fut.as_mut().poll(cx);
-        if polled.is_ready() {
-            self.slots[i] = None;
-        }
-        polled
-    }
-
-    fn live(&self, i: usize) -> bool {
-        self.slots[i].is_some()
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-/// All futures of one monomorphic type, stored inline in a single `Vec` —
-/// no per-actor box, exact preallocation, and neighbouring actors' state
-/// machines share cache lines.
+/// The actor futures of one executor instance, stored inline in a single
+/// `Vec` and polled by store index — no per-actor box for the homogeneous
+/// [`Simulation::run_workers`] shape, exact preallocation, and neighbouring
+/// actors' state machines share cache lines. The heterogeneous
+/// [`Simulation::run`] stores its boxed [`ActorFuture`]s here too.
 ///
 /// Pin discipline: every future is pushed **before any future is polled**
 /// (`push` panics otherwise), the `Vec` is preallocated to its final
@@ -664,7 +627,7 @@ pub(crate) struct ArenaStore<F> {
     polled: bool,
 }
 
-impl<F> ArenaStore<F> {
+impl<F: Future> ArenaStore<F> {
     pub(crate) fn with_capacity(n: usize) -> Self {
         ArenaStore {
             slots: Vec::with_capacity(n),
@@ -679,10 +642,9 @@ impl<F> ArenaStore<F> {
         self.slots.push(fut);
         self.done.push(false);
     }
-}
 
-impl<R, F: Future<Output = R>> ActorStore<R> for ArenaStore<F> {
-    fn poll(&mut self, i: usize, cx: &mut Context<'_>) -> Poll<R> {
+    /// Poll live slot `i`; panics if that actor already finished.
+    pub(crate) fn poll(&mut self, i: usize, cx: &mut Context<'_>) -> Poll<F::Output> {
         self.polled = true;
         assert!(
             !self.done[i],
@@ -700,50 +662,9 @@ impl<R, F: Future<Output = R>> ActorStore<R> for ArenaStore<F> {
         polled
     }
 
-    fn live(&self, i: usize) -> bool {
-        !self.done[i]
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-/// Fire one popped event: hand an `Arrival` to the model, or deposit a
-/// wakeup and poll the target actor. `local` is the store index of the
-/// event's actor (equal to `k.actor.0` on the serial executor; a shard maps
-/// global ids to its dense local indices). Shared by the serial event loop
-/// and the sharded window loop so both execute events identically.
-pub(crate) fn fire_event<M: Model, R, S: ActorStore<R>>(
-    state: &Rc<RefCell<ExecState<M>>>,
-    k: EventKey,
-    payload: Payload<M>,
-    store: &mut S,
-    results: &mut [Option<R>],
-    local: usize,
-    cx: &mut Context<'_>,
-) {
-    let mail = match payload {
-        Payload::Arrival {
-            part,
-            reply_seq,
-            req,
-        } => {
-            state.borrow_mut().process_arrival(k, part, reply_seq, req);
-            return;
-        }
-        Payload::Deliver(resp) => Mail::Response(resp),
-        Payload::Timer => Mail::Timer,
-    };
-    {
-        let mut st = state.borrow_mut();
-        st.actor_time[local] = k.time;
-        st.mailbox[local] = Some(mail);
-    }
-    // The `ExecState` borrow is released: user code inside the future is
-    // free to touch the heap, clocks and RNG through its own context.
-    if let Poll::Ready(r) = store.poll(local, cx) {
-        results[local] = Some(r);
+    /// Actors that have not finished.
+    pub(crate) fn live_count(&self) -> usize {
+        self.done.iter().filter(|&&d| !d).count()
     }
 }
 
@@ -774,11 +695,12 @@ pub struct SimReport<M, R> {
     pub requests: u64,
     /// Total events fired (arrivals + deliveries + timers).
     pub events: u64,
-    /// Events fired per shard (one entry on single-threaded executors).
+    /// Events fired per shard; a [`Simulation`] is one shard.
     pub shard_events: Vec<u64>,
-    /// Per-shard window statistics — one entry per shard on sharded runs
-    /// (all-zero entries for free-running shards), empty on single-threaded
-    /// executors.
+    /// Per-shard window statistics, one entry per shard like
+    /// `shard_events`: all-zero for a shard that ran without windows — a
+    /// free-running shard, a one-shard run, and so every [`Simulation`].
+    /// Empty only from the thread-backed reference executor.
     pub window_stats: Vec<WindowStats>,
     /// FNV-1a fingerprint of the sorted `(time, actor, seq)` history, when
     /// recording was requested — the cross-executor equivalence check.
@@ -834,36 +756,26 @@ impl<M: Model> Simulation<M> {
         F: Fn(ActorCtx<M>) -> Fut,
         Fut: Future<Output = R>,
     {
-        let (state, seed) = self.into_state(n);
-        let rngs = rng_arena(seed, 0..n);
-        let mut store = ArenaStore::with_capacity(n);
-        for i in 0..n {
-            store.push(body(ActorCtx::make(
-                ActorId(i),
-                0,
-                i as u32,
-                Rc::clone(&rngs),
-                Rc::clone(&state),
-            )));
-        }
-        execute(state, store)
+        self.launch(n, body)
     }
 
     /// Run a heterogeneous set of actors (e.g. one web role plus N worker
     /// roles). Actor ids are assigned by position.
     pub fn run<'a, R>(self, actors: Vec<ActorFn<'a, M, R>>) -> SimReport<M, R> {
         let n = actors.len();
-        let (state, seed) = self.into_state(n);
-        let rngs = rng_arena(seed, 0..n);
-        let mut slots = Vec::with_capacity(n);
-        for (i, make) in actors.into_iter().enumerate() {
-            let ctx = ActorCtx::make(ActorId(i), 0, i as u32, Rc::clone(&rngs), Rc::clone(&state));
-            slots.push(Some(make(ctx)));
-        }
-        execute(state, BoxedStore { slots })
+        let mut bodies = actors.into_iter();
+        self.launch(n, move |ctx| {
+            bodies.next().expect("one body per actor")(ctx)
+        })
     }
 
-    fn into_state(self, n: usize) -> (Rc<RefCell<ExecState<M>>>, u64) {
+    /// Create actors `0..n` through `make`, in id order, and drive them as
+    /// the one shard that owns every partition.
+    fn launch<R, Fut: Future<Output = R>>(
+        self,
+        n: usize,
+        make: impl FnMut(ActorCtx<M>) -> Fut,
+    ) -> SimReport<M, R> {
         let Simulation {
             model,
             seed,
@@ -877,91 +789,23 @@ impl<M: Model> Simulation<M> {
                 "route table sized for a different actor count"
             );
         }
-        (
-            Rc::new(RefCell::new(ExecState::new(n, vec![model], route, record))),
-            seed,
-        )
-    }
-}
-
-/// Launch every actor, drain the event loop, and tear down into a report.
-fn execute<M: Model, R, S: ActorStore<R>>(
-    state: Rc<RefCell<ExecState<M>>>,
-    mut store: S,
-) -> SimReport<M, R> {
-    let n = store.len();
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut cx = Context::from_waker(Waker::noop());
-
-    // Launch phase: drive every actor to its first timed action (or to
-    // completion), in actor-id order, before popping any event.
-    for (i, result) in results.iter_mut().enumerate() {
-        if let Poll::Ready(r) = store.poll(i, &mut cx) {
-            *result = Some(r);
-        }
-    }
-
-    // Event loop: one event at a time, in (time, actor, seq) order. On the
-    // serial executor local index == global id by construction (a serial
-    // route hosts every actor in ascending id order).
-    loop {
-        let popped = state.borrow_mut().pop_due(None);
-        let Some((k, payload)) = popped else { break };
-        fire_event(
-            &state,
-            k,
-            payload,
-            &mut store,
-            &mut results,
-            k.actor.0,
-            &mut cx,
-        );
-    }
-
-    let blocked = store.live_count();
-    assert!(
-        blocked == 0,
-        "deadlock: {blocked} live actors blocked with no pending events"
-    );
-    drop(store);
-    let mut st = Rc::try_unwrap(state)
-        .ok()
-        .expect("actor contexts outlived the simulation")
-        .into_inner();
-    let history_hash = st.history.take().map(|mut h| {
-        h.sort_unstable();
-        fnv1a_keys(&h)
-    });
-    let model = st.models.pop().expect("simulation lost its model");
-    assert!(
-        st.models.is_empty(),
-        "serial run ended with multiple models"
-    );
-    SimReport {
-        model,
-        results: results
-            .into_iter()
-            .map(|r| r.expect("actor finished without producing a result"))
-            .collect(),
-        end_time: st.end_time,
-        requests: st.requests,
-        events: st.events,
-        shard_events: vec![st.events],
-        window_stats: Vec::new(),
-        history_hash,
+        let state = ExecState::new(n, vec![model], route, record);
+        let outcome = drive(state, vec![0], 0..n, seed, make, None);
+        report(vec![outcome], |mut models| {
+            models.pop().expect("simulation lost its model")
+        })
     }
 }
 
 /// Drive a future to completion on the calling thread by spin-polling with a
 /// no-op waker.
 ///
-/// This is the bridge between the async client API and *live mode*: every
-/// future produced against a [`crate::threaded`]-free `LiveEnv` (or any
-/// environment whose awaits are immediately ready) completes in a bounded
-/// number of polls, so the "spin" never actually spins. Futures from a
-/// [`VirtualEnv`-style](ActorCtx) context must instead run inside
-/// [`Simulation::run`]; polling them here would wait forever for an event
-/// loop that is not running.
+/// This is the bridge between the async client API and *live mode*: a
+/// future produced against a `LiveEnv`, or any environment whose awaits
+/// are immediately ready, completes in a bounded number of polls, so the
+/// "spin" never actually spins. Futures that await an [`ActorCtx`] must
+/// instead run inside a [`Simulation`]; polling them here would wait
+/// forever for an event loop that is not running.
 pub fn block_on<F: Future>(fut: F) -> F::Output {
     let mut fut = std::pin::pin!(fut);
     let mut cx = Context::from_waker(Waker::noop());
@@ -1250,6 +1094,7 @@ mod tests {
         assert_eq!(report.requests, 0);
         assert_eq!(report.events, 2);
         assert_eq!(report.shard_events, vec![2]);
+        assert_eq!(report.window_stats, vec![WindowStats::default()]);
     }
 
     #[test]
@@ -1529,11 +1374,11 @@ mod tests {
             proptest::prop_assert_eq!(report.end_time, max_clock);
         }
 
-        /// The unboxed arena path (`run_workers`) and the boxed path
+        /// Unboxed worker futures (`run_workers`) and boxed actor bodies
         /// (`run`) execute the identical schedule: same results, end time,
         /// event count and observable-history fingerprint.
         #[test]
-        fn prop_arena_matches_boxed_store(
+        fn prop_run_matches_run_workers(
             prog in proptest::collection::vec((proptest::bool::ANY, 0u64..2_000), 0..12),
             n in 1usize..6,
             seed in 0u64..500,

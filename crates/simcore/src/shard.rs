@@ -27,6 +27,13 @@
 //!   multiset — checked end-to-end by fingerprint
 //!   ([`crate::runtime::SimReport::history_hash`]).
 //!
+//! The serial executor is the **one-shard case**: one function, `drive`,
+//! launches, drains and tears down every executor instance — a whole
+//! `Simulation`, or one shard of a [`ShardedSimulation`] — and one function,
+//! `report`, merges what they hand back into a [`SimReport`]. A sharded run
+//! with one shard, or without a hop, has no windows: each shard drains its
+//! heap to empty on its own thread.
+//!
 //! Per-actor scheduler state is stored **dense per shard**: a shard hosting
 //! a quarter of a striped fleet packs its actors contiguously
 //! ([`crate::runtime::RouteTable::local_rank`]) instead of striding over
@@ -99,8 +106,8 @@
 
 use crate::heap::EventKey;
 use crate::runtime::{
-    fire_event, fnv1a_keys, rng_arena, ActorCtx, ActorId, ActorStore, ArenaStore, ExecState, Model,
-    Payload, RouteTable, SimReport, Simulation, WindowStats,
+    fnv1a_keys, rng_arena, ActorCtx, ActorId, ArenaStore, ExecState, Mail, Model, Payload,
+    RouteTable, SimReport, Simulation, WindowStats,
 };
 use crate::time::SimTime;
 use std::cell::{Cell, RefCell};
@@ -544,9 +551,12 @@ impl Drop for PoisonGuard<'_> {
 type Staged<M> = Vec<(EventKey, Payload<M>)>;
 
 /// Cross-shard rendezvous state for windowed runs.
-struct SyncShared<M: Model> {
+pub(crate) struct SyncShared<M: Model> {
     barrier: PoisonBarrier,
     shards: usize,
+    /// The plan's lookahead hop, in nanoseconds.
+    hop_ns: u64,
+    tuning: WindowTuning,
     /// Published per-shard minima, banked by window parity (`2 × shards`
     /// slots): bank `w % 2` serves window `w`, and its next reuse (window
     /// `w + 2`) cannot begin until barrier `w + 1` proves every shard has
@@ -572,13 +582,15 @@ struct ShardInput<M: Model> {
     route: RouteTable<M>,
 }
 
-/// What one shard hands back for merging.
-struct ShardOutcome<M, R> {
+/// What one executor instance hands back for [`report`].
+pub(crate) struct ShardOutcome<M, R, A> {
     models: Vec<M>,
     local_parts: Vec<u32>,
-    /// `(global id, result)` per local actor; `None` only when the run is
-    /// about to fail the deadlock assertion.
-    results: Vec<(usize, Option<R>)>,
+    /// Global ids of the hosted actors, in store order.
+    actors: A,
+    /// Result per hosted actor, in store order; `None` only when the run
+    /// is about to fail the deadlock assertion.
+    results: Vec<Option<R>>,
     end_time: SimTime,
     requests: u64,
     events: u64,
@@ -633,9 +645,7 @@ impl<M: ShardableModel> ShardedSimulation<M> {
             plan,
             record,
         } = self;
-        let n = plan.actors();
         let shards = plan.shards as usize;
-        let parts_total = plan.partitions as usize;
         let (home, owner, local_rank) = plan.shared_tables();
 
         // Split the model and bucket sub-models + actors by owning shard.
@@ -643,7 +653,7 @@ impl<M: ShardableModel> ShardedSimulation<M> {
             model.split(plan.partitions).into_iter().map(Some).collect();
         assert_eq!(
             parts.len(),
-            parts_total,
+            plan.partitions as usize,
             "split() returned a wrong partition count"
         );
         let mut inputs: Vec<ShardInput<M>> = (0..shards)
@@ -668,43 +678,21 @@ impl<M: ShardableModel> ShardedSimulation<M> {
                 .push(a);
         }
 
-        let outcomes: Vec<ShardOutcome<M, R>> = if shards == 1 {
-            // Inline: one populated shard is exactly the serial schedule —
-            // no threads, no barriers.
-            vec![run_shard(
-                inputs.pop().expect("one shard input"),
-                seed,
-                record,
-                &body,
-                None,
-                plan.hop,
-                &plan.tuning,
-            )]
-        } else if plan.hop.is_none() {
-            // Free-run: no cross-partition traffic is possible, so shards
-            // are fully independent.
-            run_on_threads(inputs, seed, record, &body, None, None, &plan.tuning)
-        } else {
-            let sync = SyncShared {
-                barrier: PoisonBarrier::new(shards),
-                shards,
-                mins: (0..2 * shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
-                lanes: (0..shards * shards)
-                    .map(|_| Mutex::new(Vec::new()))
-                    .collect(),
-            };
-            run_on_threads(
-                inputs,
-                seed,
-                record,
-                &body,
-                Some(&sync),
-                plan.hop,
-                &plan.tuning,
-            )
-        };
-
-        merge_outcomes(outcomes, n, parts_total, record)
+        // One shard, or no hop, means no window: shards free-run.
+        let sync = plan.hop.filter(|_| shards > 1).map(|hop| SyncShared {
+            barrier: PoisonBarrier::new(shards),
+            shards,
+            hop_ns: hop.as_nanos() as u64,
+            tuning: plan.tuning.clone(),
+            mins: (0..2 * shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            lanes: (0..shards * shards)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+        });
+        report(
+            run_on_threads(inputs, seed, record, &body, sync.as_ref()),
+            M::merge,
+        )
     }
 }
 
@@ -718,9 +706,7 @@ fn run_on_threads<M, R, F, Fut>(
     record: bool,
     body: &F,
     sync: Option<&SyncShared<M>>,
-    hop: Option<Duration>,
-    tuning: &WindowTuning,
-) -> Vec<ShardOutcome<M, R>>
+) -> Vec<ShardOutcome<M, R, std::vec::IntoIter<usize>>>
 where
     M: Model,
     R: Send,
@@ -729,17 +715,24 @@ where
 {
     type Joined<M, R> = (
         u32,
-        Result<ShardOutcome<M, R>, Box<dyn std::any::Any + Send>>,
+        Result<ShardOutcome<M, R, std::vec::IntoIter<usize>>, Box<dyn std::any::Any + Send>>,
     );
     let joined: Vec<Joined<M, R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = inputs
             .into_iter()
             .map(|input| {
-                let me = input.me;
-                (
+                let ShardInput {
                     me,
-                    scope.spawn(move || run_shard(input, seed, record, body, sync, hop, tuning)),
-                )
+                    models,
+                    local_parts,
+                    actors,
+                    route,
+                } = input;
+                let run = move || {
+                    let state = ExecState::new(actors.len(), models, Some(route), record);
+                    drive(state, local_parts, actors.into_iter(), seed, body, sync)
+                };
+                (me, scope.spawn(run))
             })
             .collect();
         handles.into_iter().map(|(me, h)| (me, h.join())).collect()
@@ -767,219 +760,237 @@ where
     outcomes
 }
 
-/// Run one shard to completion: launch its actors, then drain events —
-/// unbounded when unsynchronized, in conservative windows otherwise.
-fn run_shard<M, R, F, Fut>(
-    input: ShardInput<M>,
+/// Launch, drain and tear down one executor instance: a whole serial
+/// [`Simulation`] (the one shard that owns every partition) or one shard
+/// of a [`ShardedSimulation`]. `actors` are the global ids of the actors
+/// this instance hosts, ascending — their store order — and `make` creates
+/// each one's future. Without `sync` the instance drains its heap to empty;
+/// with it, window by window.
+pub(crate) fn drive<M, R, Fut, A>(
+    state: ExecState<M>,
+    local_parts: Vec<u32>,
+    actors: A,
     seed: u64,
-    record: bool,
-    body: &F,
+    mut make: impl FnMut(ActorCtx<M>) -> Fut,
     sync: Option<&SyncShared<M>>,
-    hop: Option<Duration>,
-    tuning: &WindowTuning,
-) -> ShardOutcome<M, R>
+) -> ShardOutcome<M, R, A>
 where
     M: Model,
-    F: Fn(ActorCtx<M>) -> Fut,
     Fut: Future<Output = R>,
+    A: ExactSizeIterator<Item = usize> + Clone,
 {
-    let ShardInput {
-        me,
-        models,
-        local_parts,
-        actors,
-        route,
-    } = input;
-    let n_local = actors.len();
-    // Held outside the RefCell so the event loops can map a popped key's
-    // global actor id to its dense local index without borrowing state.
-    let local_rank = Arc::clone(&route.local_rank);
-    let state = Rc::new(RefCell::new(ExecState::new(
-        n_local,
-        models,
-        Some(route),
-        record,
-    )));
-    let rngs = rng_arena(seed, actors.iter().copied());
-    let mut store = ArenaStore::with_capacity(n_local);
-    for (li, &a) in actors.iter().enumerate() {
-        let slot = {
-            let st = state.borrow();
-            let rt = st.route.as_ref().expect("shard state always has a route");
+    let n = actors.len();
+    // Global id → dense store index, held outside the RefCell so the event
+    // loop maps a popped key without borrowing state. A run without a
+    // route hosts every actor at its own id.
+    let local_rank = state.route.as_ref().map(|rt| Arc::clone(&rt.local_rank));
+    let state = Rc::new(RefCell::new(state));
+    let rngs = rng_arena(seed, actors.clone());
+    let mut store = ArenaStore::with_capacity(n);
+    for (li, a) in actors.clone().enumerate() {
+        let slot = state.borrow().route.as_ref().map_or(0, |rt| {
             rt.slot[rt.home[a] as usize]
                 .expect("actor homed on a partition this shard does not own")
-        };
-        store.push(body(ActorCtx::make(
+        });
+        let ctx = ActorCtx::make(
             ActorId(a),
             slot,
             li as u32,
             Rc::clone(&rngs),
             Rc::clone(&state),
-        )));
+        );
+        store.push(make(ctx));
     }
 
-    let mut results: Vec<Option<R>> = (0..n_local).map(|_| None).collect();
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut cx = Context::from_waker(Waker::noop());
-    // Launch phase: first poll in ascending global-id order. Cross-shard
-    // first calls land in the outbox and flush in the first window.
+    // Launch phase: drive every actor to its first timed action (or to
+    // completion), in ascending global-id order, before popping any event.
+    // Cross-shard first calls land in the outbox and flush in the first
+    // window.
     for (li, result) in results.iter_mut().enumerate() {
         if let Poll::Ready(r) = store.poll(li, &mut cx) {
             *result = Some(r);
         }
     }
 
-    let window_stats = match sync {
-        None => {
-            loop {
-                let popped = state.borrow_mut().pop_due(None);
-                let Some((k, payload)) = popped else { break };
-                fire_event(
-                    &state,
-                    k,
-                    payload,
-                    &mut store,
-                    &mut results,
-                    local_rank[k.actor.0] as usize,
-                    &mut cx,
-                );
+    // Fire local events strictly below `horizon` (all of them when `None`),
+    // one at a time in (time, actor, seq) order: hand an `Arrival` to the
+    // model, or deposit a wakeup and poll the target actor.
+    let mut drain = |horizon: Option<SimTime>| loop {
+        let popped = state.borrow_mut().pop_due(horizon);
+        let Some((k, payload)) = popped else { break };
+        let mail = match payload {
+            Payload::Arrival {
+                part,
+                reply_seq,
+                req,
+            } => {
+                state.borrow_mut().process_arrival(k, part, reply_seq, req);
+                continue;
             }
+            Payload::Deliver(resp) => Mail::Response(resp),
+            Payload::Timer => Mail::Timer,
+        };
+        let li = local_rank
+            .as_ref()
+            .map_or(k.actor.0, |r| r[k.actor.0] as usize);
+        {
+            let mut st = state.borrow_mut();
+            st.actor_time[li] = k.time;
+            st.mailbox[li] = Some(mail);
+        }
+        // The `ExecState` borrow is released: user code inside the future
+        // is free to touch the heap, clocks and RNG through its own context.
+        if let Poll::Ready(r) = store.poll(li, &mut cx) {
+            results[li] = Some(r);
+        }
+    };
+    let window = match sync {
+        None => {
+            drain(None);
             WindowStats::default()
         }
-        Some(sync) => {
-            let hop = hop.expect("windowed sync requires a lookahead hop");
-            let hop_ns = hop.as_nanos() as u64;
-            let me_us = me as usize;
-            let guard = PoisonGuard::new(&sync.barrier, me);
-            let mut adapter = WindowAdapter::new(tuning);
-            let mut window: u64 = 0;
-            loop {
-                guard.window.set(window);
-                let bank = (window & 1) as usize * sync.shards;
-                // Publish our earliest future event — heap or staged
-                // outbox — then flush the outbox in bulk, one lane lock
-                // per populated destination.
-                {
-                    let mut st = state.borrow_mut();
-                    let mut local_min = st.heap.peek_time().map_or(u64::MAX, |t| t.as_nanos());
-                    let rt = st.route.as_mut().expect("shard state always has a route");
-                    for msgs in &rt.outbox {
-                        for (k, _) in msgs.iter() {
-                            local_min = local_min.min(k.time.as_nanos());
-                        }
-                    }
-                    sync.mins[bank + me_us].store(local_min, Ordering::Release);
-                    for (dest, msgs) in rt.outbox.iter_mut().enumerate() {
-                        if !msgs.is_empty() {
-                            sync.lanes[me_us * sync.shards + dest]
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .append(msgs);
-                        }
-                    }
-                }
-                let wait_start = Instant::now();
-                if sync.barrier.wait().is_err() {
-                    guard.disarm();
-                    std::panic::panic_any(SHARD_DEAD);
-                }
-                let wait = wait_start.elapsed();
-                // Reduce: every shard reads the same parity bank, so all
-                // agree on G. (The barrier's lock handoff orders the
-                // Release stores above before these Acquire loads.)
-                let mut g = u64::MAX;
-                for slot in &sync.mins[bank..bank + sync.shards] {
-                    g = g.min(slot.load(Ordering::Acquire));
-                }
-                if g == u64::MAX {
-                    // No event in any heap or outbox, and every earlier
-                    // flush was drained in its own window: done.
-                    #[cfg(debug_assertions)]
-                    for src in 0..sync.shards {
-                        debug_assert!(
-                            sync.lanes[src * sync.shards + me_us]
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .is_empty(),
-                            "staging lane not empty at termination"
-                        );
-                    }
-                    break;
-                }
-                let work_start = Instant::now();
-                // Drain incoming lanes in bulk; buffers keep their
-                // capacity, so the steady state allocates nothing.
-                {
-                    let mut st = state.borrow_mut();
-                    for src in 0..sync.shards {
-                        let mut lane = sync.lanes[src * sync.shards + me_us]
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner());
-                        if !lane.is_empty() {
-                            st.heap.push_batch(lane.drain(..));
-                        }
-                    }
-                }
-                // Process strictly below the (possibly narrowed) horizon.
-                let horizon = SimTime(g.saturating_add(adapter.lookahead(hop_ns)));
-                loop {
-                    let popped = state.borrow_mut().pop_due(Some(horizon));
-                    let Some((k, payload)) = popped else { break };
-                    fire_event(
-                        &state,
-                        k,
-                        payload,
-                        &mut store,
-                        &mut results,
-                        local_rank[k.actor.0] as usize,
-                        &mut cx,
-                    );
-                }
-                adapter.observe(wait, work_start.elapsed());
-                window += 1;
-            }
-            adapter.stats()
-        }
+        Some(sync) => windows(sync, &state, &mut |horizon| drain(Some(horizon))),
     };
 
     let blocked = store.live_count();
     drop(store);
-    let mut st = Rc::try_unwrap(state)
+    let ExecState {
+        models,
+        route,
+        end_time,
+        requests,
+        events,
+        history,
+        ..
+    } = Rc::try_unwrap(state)
         .ok()
         .expect("actor contexts outlived the simulation")
         .into_inner();
-    if let Some(rt) = &st.route {
-        debug_assert!(
-            rt.outbox.iter().all(|o| o.is_empty()),
-            "shard finished with unsent cross-shard messages"
-        );
-    }
+    debug_assert!(
+        route.is_none_or(|rt| rt.outbox.iter().all(Vec::is_empty)),
+        "shard finished with unsent cross-shard messages"
+    );
     ShardOutcome {
-        models: std::mem::take(&mut st.models),
+        models,
         local_parts,
-        results: actors.into_iter().zip(results).collect(),
-        end_time: st.end_time,
-        requests: st.requests,
-        events: st.events,
-        history: st.history.take(),
+        actors,
+        results,
+        end_time,
+        requests,
+        events,
+        history,
         blocked,
-        window: window_stats,
+        window,
     }
 }
 
-/// Merge per-shard outcomes into one report: reassemble the model in
-/// partition order, scatter results back to global actor ids, sum counters,
-/// and fingerprint the merged observable history.
-fn merge_outcomes<M: ShardableModel, R>(
-    outcomes: Vec<ShardOutcome<M, R>>,
-    n: usize,
-    parts_total: usize,
-    record: bool,
+/// Run the lookahead-window protocol (module docs) for one shard until no
+/// event is left anywhere, firing each window's events through `drain`.
+fn windows<M: Model>(
+    sync: &SyncShared<M>,
+    state: &RefCell<ExecState<M>>,
+    drain: &mut dyn FnMut(SimTime),
+) -> WindowStats {
+    let me = state
+        .borrow()
+        .route
+        .as_ref()
+        .expect("shard state always has a route")
+        .self_shard;
+    let me_us = me as usize;
+    let guard = PoisonGuard::new(&sync.barrier, me);
+    let mut adapter = WindowAdapter::new(&sync.tuning);
+    let mut window: u64 = 0;
+    loop {
+        guard.window.set(window);
+        let bank = (window & 1) as usize * sync.shards;
+        // Publish our earliest future event — heap or staged outbox — then
+        // flush the outbox in bulk, one lane lock per populated destination.
+        {
+            let mut st = state.borrow_mut();
+            let mut local_min = st.heap.peek_time().map_or(u64::MAX, |t| t.as_nanos());
+            let rt = st.route.as_mut().expect("shard state always has a route");
+            for msgs in &rt.outbox {
+                for (k, _) in msgs.iter() {
+                    local_min = local_min.min(k.time.as_nanos());
+                }
+            }
+            sync.mins[bank + me_us].store(local_min, Ordering::Release);
+            for (dest, msgs) in rt.outbox.iter_mut().enumerate() {
+                if !msgs.is_empty() {
+                    sync.lanes[me_us * sync.shards + dest]
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .append(msgs);
+                }
+            }
+        }
+        let wait_start = Instant::now();
+        if sync.barrier.wait().is_err() {
+            guard.disarm();
+            std::panic::panic_any(SHARD_DEAD);
+        }
+        let wait = wait_start.elapsed();
+        // Reduce: every shard reads the same parity bank, so all agree on
+        // G. (The barrier's lock handoff orders the Release stores above
+        // before these Acquire loads.)
+        let mut g = u64::MAX;
+        for slot in &sync.mins[bank..bank + sync.shards] {
+            g = g.min(slot.load(Ordering::Acquire));
+        }
+        if g == u64::MAX {
+            // No event in any heap or outbox, and every earlier flush was
+            // drained in its own window: done.
+            #[cfg(debug_assertions)]
+            for src in 0..sync.shards {
+                debug_assert!(
+                    sync.lanes[src * sync.shards + me_us]
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .is_empty(),
+                    "staging lane not empty at termination"
+                );
+            }
+            return adapter.stats();
+        }
+        let work_start = Instant::now();
+        // Drain incoming lanes in bulk; buffers keep their capacity, so the
+        // steady state allocates nothing.
+        {
+            let mut st = state.borrow_mut();
+            for src in 0..sync.shards {
+                let mut lane = sync.lanes[src * sync.shards + me_us]
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner());
+                if !lane.is_empty() {
+                    st.heap.push_batch(lane.drain(..));
+                }
+            }
+        }
+        // Process strictly below the (possibly narrowed) horizon.
+        drain(SimTime(g.saturating_add(adapter.lookahead(sync.hop_ns))));
+        adapter.observe(wait, work_start.elapsed());
+        window += 1;
+    }
+}
+
+/// Merge executor-instance outcomes into one report: reassemble the model
+/// in partition order through `merge`, scatter results back to global
+/// actor ids, sum counters, and fingerprint the merged observable history.
+pub(crate) fn report<M, R>(
+    outcomes: Vec<ShardOutcome<M, R, impl Iterator<Item = usize>>>,
+    merge: impl FnOnce(Vec<M>) -> M,
 ) -> SimReport<M, R> {
     let blocked: usize = outcomes.iter().map(|o| o.blocked).sum();
     assert!(
         blocked == 0,
         "deadlock: {blocked} live actors blocked with no pending events"
     );
+    let n = outcomes.iter().map(|o| o.results.len()).sum();
+    let parts_total = outcomes.iter().map(|o| o.models.len()).sum();
+    let record = outcomes.iter().any(|o| o.history.is_some());
     let mut parts: Vec<Option<M>> = (0..parts_total).map(|_| None).collect();
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut end_time = SimTime::ZERO;
@@ -997,14 +1008,14 @@ fn merge_outcomes<M: ShardableModel, R>(
         for (&p, m) in o.local_parts.iter().zip(o.models) {
             parts[p as usize] = Some(m);
         }
-        for (a, r) in o.results {
+        for (a, r) in o.actors.zip(o.results) {
             results[a] = r;
         }
         if let Some(h) = o.history {
             history.extend(h);
         }
     }
-    let model = M::merge(
+    let model = merge(
         parts
             .into_iter()
             .map(|p| p.expect("partition lost during merge"))
@@ -1187,7 +1198,7 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_inline_matches_serial() {
+    fn single_shard_matches_serial() {
         let plan = ShardPlan::striped(6, 3, 1).with_hop(Duration::from_millis(1));
         let serial = serial_reference(&plan, 6, 3, 8);
         let shd = sharded(plan, 3, 8);
@@ -1257,9 +1268,10 @@ mod tests {
                 "fixed tuning must hold the full multiple"
             );
         }
-        // The serial executor reports no window stats at all.
+        // The serial executor is one shard that ran without windows.
         let base = ShardPlan::striped(8, 4, 1).with_hop(Duration::from_millis(1));
-        assert!(serial_reference(&base, 8, 4, 6).window_stats.is_empty());
+        let serial = serial_reference(&base, 8, 4, 6);
+        assert_eq!(serial.window_stats, vec![WindowStats::default()]);
     }
 
     #[test]
