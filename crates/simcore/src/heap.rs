@@ -2,11 +2,11 @@
 //!
 //! The executor pops events in `(time, actor, per-actor sequence)` order.
 //! The per-actor sequence counter makes the ordering total and *independent
-//! of the host-OS order in which concurrently running actor threads happened
-//! to deliver their messages*, which is what makes the whole simulation
-//! reproducible: the set of events present at any pop is determined by the
-//! simulation history alone, and the key ordering is determined by the
-//! events themselves.
+//! of the order in which events were pushed* — including the order in which
+//! shard threads flush their cross-shard messages — which is what makes the
+//! whole simulation reproducible: the set of events present at any pop is
+//! determined by the simulation history alone, and the key ordering is
+//! determined by the events themselves.
 //!
 //! ## Layout
 //!
@@ -271,22 +271,11 @@ impl<T> EventHeap<T> {
         self.front().map(|e| e.key.time)
     }
 
-    /// Key of the earliest pending event, if any — [`Self::peek`] without
-    /// touching the payload slab.
+    /// Key of the earliest pending event, if any, without touching the
+    /// payload slab.
     #[inline]
     pub(crate) fn peek_key(&self) -> Option<EventKey> {
         self.front().map(|e| e.key)
-    }
-
-    /// The earliest pending event without removing it. The scheduler uses
-    /// this to decide whether the next event may join the current wake
-    /// batch before committing to the pop.
-    pub fn peek(&self) -> Option<(&EventKey, &T)> {
-        let e = self.front()?;
-        let payload = self.slab[e.slot as usize]
-            .as_ref()
-            .expect("heap entry pointed at an empty payload slot");
-        Some((&e.key, payload))
     }
 
     /// Number of pending events.
@@ -379,7 +368,7 @@ mod tests {
         h.push(key(42, 0, 0), ());
         h.push(key(7, 1, 0), ());
         assert_eq!(h.peek_time(), Some(SimTime(7)));
-        let (k, _) = h.peek().unwrap();
+        let k = h.peek_key().unwrap();
         assert_eq!((k.time, k.actor), (SimTime(7), ActorId(1)));
         assert_eq!(h.len(), 2);
         assert!(!h.is_empty());

@@ -20,10 +20,6 @@
 //!   the serial `(time, actor, seq)` observable history bit-for-bit at every
 //!   shard count. A `Simulation` is its one-shard case: one loop launches,
 //!   drains and tears down both.
-//! * [`threaded::ThreadedSimulation`] — the original thread-per-actor
-//!   baton-scheduling executor, retained as an executable reference for
-//!   differential testing and for actor bodies that must block the host
-//!   thread.
 //! * [`rng`] — deterministic seed derivation so each simulated actor gets an
 //!   independent, reproducible random stream.
 //! * [`stats`] — small online-statistics helpers shared by the benchmark
@@ -33,13 +29,14 @@
 //! `azsim-blob`/`azsim-queue`/`azsim-table` crates and the latency model in
 //! `azsim-fabric`.
 
+#![deny(unsafe_code)]
+
 pub mod heap;
 pub mod resource;
 pub mod rng;
 pub mod runtime;
 pub mod shard;
 pub mod stats;
-pub mod threaded;
 pub mod time;
 pub mod timeline;
 
@@ -47,6 +44,5 @@ pub use heap::EventHeap;
 pub use rng::actor_rng;
 pub use runtime::{actor, block_on, ActorCtx, ActorId, Model, SimReport, Simulation, WindowStats};
 pub use shard::{ShardPlan, ShardableModel, ShardedSimulation, WindowTuning};
-pub use threaded::{ThreadedActorCtx, ThreadedSimulation};
 pub use time::SimTime;
 pub use timeline::{CounterId, GaugeId, GaugeRecorder, SaturationTracker, TimeSeries};

@@ -26,11 +26,11 @@ pub fn stream_rng(master: u64, stream: u64) -> SmallRng {
 /// The random stream of one simulated actor, keyed by its **stable actor
 /// id** — never by spawn order.
 ///
-/// Every executor (serial coroutine, thread-backed reference, sharded) must
-/// derive actor streams through this function. On the single-threaded
-/// executors spawn order and actor id coincide, but the sharded executor
-/// launches each shard's actors in shard-local order; seeding by launch
-/// order there would make random draws depend on the partition plan. Keying
+/// Every executor (serial or sharded) must derive actor streams through
+/// this function. On the serial executor spawn order and actor id coincide,
+/// but the sharded executor launches each shard's actors in shard-local
+/// order; seeding by launch order there would make random draws depend on
+/// the partition plan. Keying
 /// by `ActorId` makes the stream a pure function of `(master seed, actor)`,
 /// so the same program produces identical draws at every shard count.
 pub fn actor_rng(master: u64, actor: crate::runtime::ActorId) -> SmallRng {

@@ -11,7 +11,7 @@
 //!
 //! The executor is single-threaded and owns all scheduler state — the event
 //! heap, per-actor clocks and sequence counters, the model itself — in one
-//! [`ExecState`] behind a `RefCell`. Execution proceeds in two phases:
+//! `ExecState` behind a `RefCell`. Execution proceeds in two phases:
 //!
 //! 1. **Launch.** Every actor future is created, then polled once, in
 //!    actor-id order, before any event is popped. An actor runs until its
@@ -57,11 +57,11 @@
 //! * Events pop in `(time, actor, seq)` order from the [`EventHeap`]; the
 //!   per-actor sequence numbers make that order a pure function of the
 //!   simulation history. No wakers, no ready-queues, no host-OS scheduling
-//!   anywhere in the loop: the executor *is* the one-at-a-time reference
-//!   interpreter that the thread-backed executor ([`crate::threaded`]) and
-//!   the sharded executor ([`crate::shard`]) are tested against, so all
-//!   backends — and therefore all golden figure artifacts — agree
-//!   bit-for-bit by construction.
+//!   anywhere in the loop: the executor fires the same keys in the same
+//!   order as the one-at-a-time reference interpreter in this module's
+//!   tests, and the sharded executor ([`crate::shard`]) reproduces its
+//!   history, so every shard count — and therefore every golden figure
+//!   artifact — agrees bit-for-bit.
 //! * The cluster model ([`Model::handle`]) sees arrivals in non-decreasing
 //!   virtual-time order, which makes analytic `next_free` bookkeeping in the
 //!   queueing resources exact (see [`crate::resource`]).
@@ -69,7 +69,7 @@
 //! ## Invariants
 //!
 //! * Every `Pending` poll of an actor future has scheduled exactly one
-//!   pending event for that actor first (enforced by the [`Wait`] future):
+//!   pending event for that actor first (enforced by the `Wait` future):
 //!   its `Timer`, its `Arrival`, or — for a call served in place — its reply
 //!   `Deliver`. Hence an empty heap with unfinished actors is a genuine
 //!   deadlock and panics.
@@ -115,8 +115,7 @@ pub struct ActorId(pub usize);
 /// together with its response. Implementations mutate their internal state
 /// (storage contents, resource bookkeeping) as a side effect.
 ///
-/// The `Send` supertrait is required by the thread-backed reference executor
-/// ([`crate::threaded`]) and by the sharded executor, which moves
+/// The `Send` supertrait is required by the sharded executor, which moves
 /// per-partition sub-models onto shard threads.
 pub trait Model: Send {
     /// Request type actors submit via [`ActorCtx::call`].
@@ -644,6 +643,7 @@ impl<F: Future> ArenaStore<F> {
     }
 
     /// Poll live slot `i`; panics if that actor already finished.
+    #[allow(unsafe_code)]
     pub(crate) fn poll(&mut self, i: usize, cx: &mut Context<'_>) -> Poll<F::Output> {
         self.polled = true;
         assert!(
@@ -700,7 +700,6 @@ pub struct SimReport<M, R> {
     /// Per-shard window statistics, one entry per shard like
     /// `shard_events`: all-zero for a shard that ran without windows — a
     /// free-running shard, a one-shard run, and so every [`Simulation`].
-    /// Empty only from the thread-backed reference executor.
     pub window_stats: Vec<WindowStats>,
     /// FNV-1a fingerprint of the sorted `(time, actor, seq)` history, when
     /// recording was requested — the cross-executor equivalence check.
@@ -870,6 +869,24 @@ mod tests {
         (calls, total - calls)
     }
 
+    /// Random step programs as drawn by the proptests: `(is_call, v)` is a
+    /// call of `v`, or a sleep of `v * 500` µs.
+    fn to_steps(raw: &[Vec<(bool, u32)>]) -> Vec<Vec<Step>> {
+        raw.iter()
+            .map(|p| {
+                p.iter()
+                    .map(|&(is_call, v)| {
+                        if is_call {
+                            Step::Call(v)
+                        } else {
+                            Step::SleepUs(u64::from(v) * 500)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// What a step-program run observes: the model's arrival trace, each
     /// actor's clock after every step, end time, requests, events and the
     /// history fingerprint.
@@ -882,41 +899,58 @@ mod tests {
         Option<u64>,
     );
 
-    /// Run step programs on this executor; also returns the number of
-    /// events pushed onto the heap.
-    fn run_steps(model: EchoModel, programs: &[Vec<Step>]) -> (StepTrace, u64) {
-        let actors: Vec<ActorFn<'_, EchoModel, Vec<u64>>> = programs
-            .iter()
-            .map(|prog| {
-                let prog = prog.clone();
-                actor(move |ctx: ActorCtx<EchoModel>| async move {
-                    let mut clocks = Vec::new();
-                    for step in prog {
-                        match step {
-                            Step::Call(v) => {
-                                ctx.call(v).await;
-                            }
-                            Step::SleepUs(us) => ctx.sleep(Duration::from_micros(us)).await,
-                        }
-                        clocks.push(ctx.now().as_nanos());
-                    }
-                    clocks
-                })
-            })
-            .collect();
-        let pushes = || crate::heap::PUSHES.with(|p| p.get());
-        let before = pushes();
-        let r = Simulation::new(model, 0).record_history().run(actors);
-        let pushed = pushes() - before;
-        let trace = (
+    /// One actor playing a step program; returns its clock after each step.
+    async fn play(ctx: ActorCtx<EchoModel>, prog: Vec<Step>) -> Vec<u64> {
+        let mut clocks = Vec::new();
+        for step in prog {
+            match step {
+                Step::Call(v) => {
+                    ctx.call(v).await;
+                }
+                Step::SleepUs(us) => ctx.sleep(Duration::from_micros(us)).await,
+            }
+            clocks.push(ctx.now().as_nanos());
+        }
+        clocks
+    }
+
+    fn step_trace(r: SimReport<EchoModel, Vec<u64>>) -> StepTrace {
+        (
             r.model.handled,
             r.results,
             r.end_time,
             r.requests,
             r.events,
             r.history_hash,
-        );
-        (trace, pushed)
+        )
+    }
+
+    /// Run step programs as boxed actors (`run`); also returns the number
+    /// of events pushed onto the heap.
+    fn run_steps(model: EchoModel, programs: &[Vec<Step>]) -> (StepTrace, u64) {
+        let actors: Vec<ActorFn<'_, EchoModel, Vec<u64>>> = programs
+            .iter()
+            .map(|prog| {
+                let prog = prog.clone();
+                actor(move |ctx: ActorCtx<EchoModel>| play(ctx, prog))
+            })
+            .collect();
+        let pushes = || crate::heap::PUSHES.with(|p| p.get());
+        let before = pushes();
+        let r = Simulation::new(model, 0).record_history().run(actors);
+        let pushed = pushes() - before;
+        (step_trace(r), pushed)
+    }
+
+    /// Run step programs as unboxed worker futures (`run_workers`).
+    fn run_worker_steps(model: EchoModel, programs: &[Vec<Step>]) -> StepTrace {
+        let r = Simulation::new(model, 0)
+            .record_history()
+            .run_workers(programs.len(), |ctx| {
+                let prog = programs[ctx.id().0].clone();
+                play(ctx, prog)
+            });
+        step_trace(r)
     }
 
     /// One-event-at-a-time reference for step programs: every arrival is
@@ -1023,6 +1057,8 @@ mod tests {
         assert_eq!(pushed, calls + sleeps, "heap pushes per call + sleep");
         assert_eq!(trace.4, 2 * calls + sleeps, "events");
         assert_eq!(trace, run_reference(echo(1), &programs));
+        // Pinned: any change to event order or keys changes this literal.
+        assert_eq!(trace.5, Some(0x87b4_9add_942e_9b58), "history fingerprint");
     }
 
     #[test]
@@ -1052,31 +1088,55 @@ mod tests {
             "no arrival took the heap: {pushed} pushes"
         );
         assert_eq!(trace, run_reference(model(), &programs));
+    }
 
-        let threaded: Vec<crate::threaded::ThreadedActorFn<'_, EchoModel, Vec<u64>>> = programs
-            .iter()
-            .map(|prog| {
-                let prog = prog.clone();
-                Box::new(move |ctx: &crate::threaded::ThreadedActorCtx<EchoModel>| {
-                    let mut clocks = Vec::new();
-                    for step in prog {
-                        match step {
-                            Step::Call(v) => {
-                                ctx.call(v);
-                            }
-                            Step::SleepUs(us) => ctx.sleep(Duration::from_micros(us)),
-                        }
-                        clocks.push(ctx.now().as_nanos());
-                    }
-                    clocks
-                }) as crate::threaded::ThreadedActorFn<'_, EchoModel, Vec<u64>>
+    /// 8 actors sleeping the same durations: their timers collide at
+    /// shared instants, and each round's calls arrive together.
+    fn colliding_timers() -> Vec<Vec<Step>> {
+        (0..8u32)
+            .map(|i| {
+                vec![
+                    Step::SleepUs(1_000),
+                    Step::Call(i),
+                    Step::SleepUs(1_000),
+                    Step::Call(100 + i),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_instants_match_reference() {
+        let programs = colliding_timers();
+        let trace = run_steps(echo(3), &programs).0;
+        assert_eq!(trace, run_reference(echo(3), &programs));
+    }
+
+    #[test]
+    fn zero_length_sleeps_match_reference() {
+        // Zero-length sleeps pile timers onto one instant together with
+        // arrivals (4 actors).
+        let programs: Vec<Vec<Step>> = (0..4u32)
+            .map(|i| {
+                vec![
+                    Step::SleepUs(0),
+                    Step::Call(i),
+                    Step::SleepUs(0),
+                    Step::SleepUs(0),
+                    Step::Call(10 + i),
+                ]
             })
             .collect();
-        let t = crate::threaded::ThreadedSimulation::new(model(), 0).run(threaded);
-        let (handled, clocks, end, requests, events, _) = trace;
-        assert_eq!(handled, t.model.handled, "model traces differ");
-        assert_eq!(clocks, t.results, "actor clocks differ");
-        assert_eq!((end, requests, events), (t.end_time, t.requests, t.events));
+        let trace = run_steps(echo(1), &programs).0;
+        assert_eq!(trace, run_reference(echo(1), &programs));
+    }
+
+    #[test]
+    fn workers_match_reference_at_shared_instants() {
+        // The colliding-timer programs as unboxed worker futures.
+        let programs = colliding_timers();
+        let trace = run_worker_steps(echo(3), &programs);
+        assert_eq!(trace, run_reference(echo(3), &programs));
     }
 
     #[test]
@@ -1372,6 +1432,47 @@ mod tests {
             let report = sim.run(actors);
             let max_clock = report.results.iter().max().copied().unwrap();
             proptest::prop_assert_eq!(report.end_time, max_clock);
+        }
+
+        /// Random step programs reproduce the one-at-a-time reference:
+        /// model trace, actor clocks, end time, requests, events and history
+        /// fingerprint. Sleeps come from a tiny range so actors often collide
+        /// on one instant, and zero-latency replies land among arrivals.
+        #[test]
+        fn prop_matches_one_at_a_time_reference(
+            programs in proptest::collection::vec(
+                proptest::collection::vec((proptest::bool::ANY, 0u32..4), 0..12),
+                1..7),
+            instant_every in 0u32..4,
+        ) {
+            let programs = to_steps(&programs);
+            let model = || EchoModel {
+                instant_every,
+                ..echo(2)
+            };
+            proptest::prop_assert_eq!(
+                run_steps(model(), &programs).0,
+                run_reference(model(), &programs)
+            );
+        }
+
+        /// The same random programs as unboxed worker futures.
+        #[test]
+        fn prop_workers_match_one_at_a_time_reference(
+            programs in proptest::collection::vec(
+                proptest::collection::vec((proptest::bool::ANY, 0u32..4), 0..12),
+                1..7),
+            instant_every in 0u32..4,
+        ) {
+            let programs = to_steps(&programs);
+            let model = || EchoModel {
+                instant_every,
+                ..echo(2)
+            };
+            proptest::prop_assert_eq!(
+                run_worker_steps(model(), &programs),
+                run_reference(model(), &programs)
+            );
         }
 
         /// Unboxed worker futures (`run_workers`) and boxed actor bodies

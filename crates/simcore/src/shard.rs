@@ -36,7 +36,7 @@
 //!
 //! Per-actor scheduler state is stored **dense per shard**: a shard hosting
 //! a quarter of a striped fleet packs its actors contiguously
-//! ([`crate::runtime::RouteTable::local_rank`]) instead of striding over
+//! (`RouteTable::local_rank`) instead of striding over
 //! global-length arrays, and the global tables it does need (`home`,
 //! `owner`, `local_rank`) are built once and `Arc`-shared rather than cloned
 //! per shard.
@@ -1213,6 +1213,12 @@ mod tests {
         let rounds = 10;
         let base = ShardPlan::striped(actors, partitions, 1).with_hop(Duration::from_millis(1));
         let serial = serial_reference(&base, actors, partitions, rounds);
+        // Pinned: any change to event order or keys changes this literal.
+        assert_eq!(
+            serial.history_hash,
+            Some(0x4e36_a948_575f_921f),
+            "history fingerprint"
+        );
         for shards in [2u32, 4] {
             let shd = sharded(base.clone().with_shards(shards), partitions, rounds);
             assert_eq!(

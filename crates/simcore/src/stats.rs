@@ -124,7 +124,7 @@ const SUB_BUCKETS: usize = 1 << SUB_BITS;
 /// HDR-style log-bucketed histogram over non-negative durations in seconds.
 ///
 /// Values are quantized to integer nanoseconds and placed into buckets with
-/// [`SUB_BUCKETS`] sub-divisions per power of two, giving a fixed relative
+/// `SUB_BUCKETS` sub-divisions per power of two, giving a fixed relative
 /// quantile error bound of [`Histogram::RELATIVE_ERROR`] (1/128, < 0.8 %)
 /// for any value above 128 ns; values at or below 127 ns are exact at
 /// nanosecond resolution. Memory is O(log range): at most 3 776 buckets,

@@ -95,7 +95,7 @@ pub mod collection {
     use rand::rngs::SmallRng;
     use rand::Rng;
 
-    /// Length specification for [`vec`]: exact, or uniform in a half-open
+    /// Length specification for [`vec()`]: exact, or uniform in a half-open
     /// range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
