@@ -3,9 +3,8 @@
 //! Under fault injection a client can observe `StorageError::Timeout` for
 //! an operation that *did* execute server-side (a lost ack, or a crash
 //! that cut an in-flight replicated write). Blindly re-issuing such an
-//! operation duplicates it: a retried `AddRow` double-inserts, a retried
-//! read-modify-write double-applies, a retried `DeleteMessage` presents a
-//! receipt that is no longer current. The helpers here make the retry
+//! operation duplicates it: a retried `AddRow` double-inserts and a retried
+//! read-modify-write double-applies. The helpers here make the retry
 //! loops safe:
 //!
 //! * [`insert_idempotent`] — a duplicate-key failure after an ambiguous
@@ -14,21 +13,14 @@
 //! * [`update_idempotent`] — read-modify-write under an `If-Match` ETag
 //!   condition, with a per-mutation marker property so a re-issued update
 //!   whose predecessor secretly executed is detected instead of applied
-//!   twice;
-//! * [`delete_message_checked`] — queue deletes with pop-receipt
-//!   revalidation: a stale receipt after an ambiguous delete means the
-//!   message is no longer ours (already deleted, or re-delivered), not
-//!   that the workflow failed.
+//!   twice.
 //!
 //! All helpers compose with [`crate::ResilientPolicy`]'s blind transient
 //! retries: the policy handles clean rejections, these handle ambiguity.
 
 use crate::env::Environment;
-use crate::queue::QueueClient;
 use crate::table::TableClient;
-use azsim_storage::{
-    ETag, Entity, EtagCondition, PropValue, QueueMessage, StorageError, StorageResult,
-};
+use azsim_storage::{ETag, Entity, EtagCondition, PropValue, StorageError, StorageResult};
 
 /// Property name holding the id of the last logical mutation applied by
 /// [`update_idempotent`]. Rows driven through that helper carry it.
@@ -104,22 +96,5 @@ where
             Err(StorageError::PreconditionFailed) => continue,
             Err(e) => return Err(e),
         }
-    }
-}
-
-/// Delete a claimed message with pop-receipt revalidation. Returns
-/// `Ok(true)` when this call (or a secretly-executed earlier attempt)
-/// removed the message, `Ok(false)` when the receipt is stale — the
-/// message either was already deleted or timed out and was re-delivered
-/// to another consumer; in both cases it is no longer ours and retrying
-/// the delete is wrong.
-pub async fn delete_message_checked<E: Environment>(
-    queue: &QueueClient<'_, E>,
-    msg: &QueueMessage,
-) -> StorageResult<bool> {
-    match queue.delete_message(msg).await {
-        Ok(()) => Ok(true),
-        Err(StorageError::PopReceiptMismatch) => Ok(false),
-        Err(e) => Err(e),
     }
 }

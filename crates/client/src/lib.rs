@@ -33,7 +33,7 @@ pub mod table;
 pub use blob::BlobClient;
 pub use env::{Environment, FleetEnv, VirtualEnv};
 pub use file::{FileEnv, FileStore};
-pub use idempotent::{delete_message_checked, insert_idempotent, update_idempotent, OP_MARKER};
+pub use idempotent::{insert_idempotent, update_idempotent, OP_MARKER};
 pub use live::{LiveCluster, LiveEnv};
 pub use queue::QueueClient;
 pub use resilience::{

@@ -93,8 +93,8 @@ pub struct VerifyConfig {
     /// Undecodable poison messages submitted.
     pub poison: u32,
     /// `true` = idempotent client (If-Match + op marker, read-back insert
-    /// resolution, pop-receipt revalidation, retry budget); `false` =
-    /// naive blind retry, the policy the harness must catch.
+    /// resolution, retry budget); `false` = naive blind retry, the policy
+    /// the harness must catch.
     pub hardened: bool,
     /// Storage backend the run simulates. Invariant I5 (read-your-writes)
     /// is checked against this backend's *declared* consistency: a backend
@@ -238,6 +238,9 @@ pub fn run_verify(cfg: &VerifyConfig, plan: &FaultPlan) -> VerifyOutcome {
                 }
                 acked_poison.push(k);
             }
+            while tq.seal().await.is_err() {
+                env.sleep(RETRY_PAUSE).await;
+            }
         }
 
         // --- Table side: per-worker counter row, `increments` logical
@@ -325,32 +328,16 @@ pub fn run_verify(cfg: &VerifyConfig, plan: &FaultPlan) -> VerifyOutcome {
 
         // --- Drain the shared queue (all workers, producer included). ---
         let mut consumed: Vec<(u32, u32)> = Vec::new();
-        let mut idle = 0;
-        while idle < 8 {
-            match tq.claim().await {
-                Ok(Some(claimed)) => {
-                    idle = 0;
-                    env.sleep(TASK_WORK).await;
-                    // Processing happened regardless of how the delete
-                    // goes; record it first, then clean up.
-                    consumed.push((claimed.task.id, claimed.attempt));
-                    if cfg.hardened {
-                        // Pop-receipt revalidation: a stale receipt means
-                        // the task is someone else's now — not an error.
-                        if tq.complete_checked(&claimed).await.is_err() {
-                            env.sleep(RETRY_PAUSE).await;
-                        }
-                    } else if tq.complete(&claimed).await.is_err() {
-                        env.sleep(RETRY_PAUSE).await;
-                    }
-                }
-                Ok(None) => {
-                    idle += 1;
-                    env.sleep(Duration::from_secs(2)).await;
-                }
-                Err(_) => env.sleep(RETRY_PAUSE).await,
-            }
-        }
+        tq.run_worker(
+            async |claimed| {
+                env.sleep(TASK_WORK).await;
+                consumed.push((claimed.task.id, claimed.attempt));
+                Ok(())
+            },
+            async |_, _| Ok(()),
+        )
+        .await
+        .expect("only a semantic storage error ends the drain");
         (consumed, acked, acked_poison, ryw)
     });
 

@@ -17,8 +17,11 @@
 //!   barrier, including the message-count accounting across repeated
 //!   synchronization phases and the one-second polling back-off;
 //! * [`taskqueue::TaskQueue`] — typed (serde-JSON) task envelopes over a
-//!   queue, with visibility-timeout-based crash recovery;
-//! * [`bag::BagOfTasks`] — the end-to-end pattern: submit, process, track;
+//!   queue, with visibility-timeout-based crash recovery, one dead-letter
+//!   queue and one worker loop (process, then complete; stop on a sealed,
+//!   empty queue);
+//! * [`bag::BagOfTasks`] — the end-to-end pattern: submit and seal,
+//!   process, track;
 //! * [`mapreduce::MapReduce`] — a Twister4Azure-style (iterative) MapReduce
 //!   runtime built purely from queues, blobs and the indicator pattern —
 //!   the programming model the paper notes Azure lacks natively.
@@ -31,8 +34,8 @@ pub mod mapreduce;
 pub mod taskqueue;
 pub mod termination;
 
-pub use bag::{BagOfTasks, WorkerReport};
+pub use bag::BagOfTasks;
 pub use barrier::QueueBarrier;
 pub use mapreduce::{MapReduce, MapReduceJob};
-pub use taskqueue::{ClaimedTask, TaskQueue};
+pub use taskqueue::{ClaimedTask, TaskOutcome, TaskQueue, WorkerReport};
 pub use termination::TerminationIndicator;

@@ -12,25 +12,27 @@
 //! * the **driver** (web role) watches the indicator, then enqueues one
 //!   **reduce task** per bucket; reducers pull every mapper's bucket blob,
 //!   group by key, reduce, and write an output blob;
-//! * workers are *phase-agnostic*: one worker loop serves map and reduce
-//!   tasks alike, so the same role instances carry the whole job;
+//! * workers are *phase-agnostic*: one worker loop
+//!   ([`TaskQueue::run_worker`]) serves map and reduce tasks alike, so the
+//!   same role instances carry the whole job until the driver
+//!   [`seal`](MapReduce::seal)s the task queue after its last round;
 //! * **iteration** (the Twister4Azure contribution): the driver feeds each
 //!   round's reduce outputs into the next round's map inputs until the job
 //!   declares convergence.
 //!
 //! Crash tolerance is inherited from the task queue's visibility timeouts:
 //! a mapper or reducer that dies mid-task has its task re-delivered, and
-//! intermediate blob writes are idempotent (same name, same content).
+//! intermediate blob writes are idempotent (same name, same content). Only
+//! the attempt that completes the task signals the indicator.
 
-use crate::taskqueue::TaskQueue;
+use crate::taskqueue::{TaskOutcome, TaskQueue};
 use crate::termination::TerminationIndicator;
 use azsim_client::{BlobClient, Environment};
-use azsim_storage::{StorageError, StorageResult};
+use azsim_storage::StorageResult;
 use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// A MapReduce job definition.
 pub trait MapReduceJob {
@@ -91,7 +93,6 @@ pub struct MapReduce<'e, E: Environment, J: MapReduceJob> {
     tasks: TaskQueue<'e, E, MrTask<J::MapIn>>,
     done: TerminationIndicator<'e, E>,
     blobs: BlobClient<'e, E>,
-    env: &'e E,
     /// Number of reduce buckets.
     pub buckets: usize,
 }
@@ -106,7 +107,6 @@ impl<'e, E: Environment, J: MapReduceJob> MapReduce<'e, E, J> {
             tasks: TaskQueue::new(env, format!("{name}-mr-tasks")),
             done: TerminationIndicator::new(env, format!("{name}-mr-done")),
             blobs: BlobClient::new(env, format!("{name}-mr")),
-            env,
             buckets,
         }
     }
@@ -129,7 +129,8 @@ impl<'e, E: Environment, J: MapReduceJob> MapReduce<'e, E, J> {
 
     /// Driver side: run the whole (possibly iterative) job to completion
     /// and return the final round's outputs. Workers must be running
-    /// [`run_worker`](Self::run_worker) concurrently.
+    /// [`run_worker`](Self::run_worker) concurrently; they stay until
+    /// [`seal`](Self::seal), so the driver may call this again.
     pub async fn run_driver(&self, inputs: Vec<J::MapIn>) -> StorageResult<Vec<J::Out>> {
         let mut round = 0usize;
         let mut inputs = inputs;
@@ -183,6 +184,12 @@ impl<'e, E: Environment, J: MapReduceJob> MapReduce<'e, E, J> {
         }
     }
 
+    /// Driver side: no further job will run; workers stop once the task
+    /// queue is empty.
+    pub async fn seal(&self) -> StorageResult<()> {
+        self.tasks.seal().await
+    }
+
     async fn execute_map(
         &self,
         round: usize,
@@ -231,54 +238,40 @@ impl<'e, E: Environment, J: MapReduceJob> MapReduce<'e, E, J> {
         Ok(())
     }
 
-    /// Worker side: serve map and reduce tasks until the pool stays empty
-    /// for `idle_polls` polls of `idle_backoff` each. Returns
-    /// `(maps_done, reduces_done)`.
-    pub async fn run_worker(
-        &self,
-        idle_polls: usize,
-        idle_backoff: Duration,
-    ) -> StorageResult<(usize, usize)> {
+    /// Worker side: serve map and reduce tasks until the driver has sealed
+    /// the task queue and it is empty. Returns `(maps_done, reduces_done)`.
+    pub async fn run_worker(&self) -> StorageResult<(usize, usize)> {
         let mut maps_done = 0;
         let mut reduces_done = 0;
-        let mut idle = 0;
-        while idle < idle_polls {
-            match self.tasks.claim().await? {
-                None => {
-                    idle += 1;
-                    self.env.sleep(idle_backoff).await;
-                }
-                Some(claimed) => {
-                    idle = 0;
-                    match &claimed.task {
-                        MrTask::Map {
-                            round,
-                            id,
-                            input,
-                            buckets,
-                        } => self.execute_map(*round, *id, input, *buckets).await?,
-                        MrTask::Reduce {
-                            round,
-                            bucket,
-                            maps,
-                        } => self.execute_reduce(*round, *bucket, *maps).await?,
-                    }
-                    match self.tasks.complete(&claimed).await {
-                        Ok(()) => {
-                            match &claimed.task {
-                                MrTask::Map { .. } => maps_done += 1,
-                                MrTask::Reduce { .. } => reduces_done += 1,
-                            }
-                            self.done.signal(Bytes::from_static(b"t")).await?;
+        self.tasks
+            .run_worker(
+                async |claimed| match &claimed.task {
+                    MrTask::Map {
+                        round,
+                        id,
+                        input,
+                        buckets,
+                    } => self.execute_map(*round, *id, input, *buckets).await,
+                    MrTask::Reduce {
+                        round,
+                        bucket,
+                        maps,
+                    } => self.execute_reduce(*round, *bucket, *maps).await,
+                },
+                // Superseded by a re-delivery: the blob writes are
+                // idempotent, and the attempt that completes signals.
+                async |claimed, outcome| {
+                    if outcome == TaskOutcome::Completed {
+                        match &claimed.task {
+                            MrTask::Map { .. } => maps_done += 1,
+                            MrTask::Reduce { .. } => reduces_done += 1,
                         }
-                        // Superseded by a re-delivery: the blob writes are
-                        // idempotent, the other worker signals.
-                        Err(StorageError::PopReceiptMismatch) => {}
-                        Err(e) => return Err(e),
+                        self.done.signal(Bytes::from_static(b"t")).await?;
                     }
-                }
-            }
-        }
+                    Ok(())
+                },
+            )
+            .await?;
         Ok((maps_done, reduces_done))
     }
 }
@@ -319,6 +312,7 @@ mod tests {
             let mr = MapReduce::new(&env, "wc", WordCount, 3);
             mr.init().await.unwrap();
             let mut out = mr.run_driver(driver_docs).await.unwrap();
+            mr.seal().await.unwrap();
             out.sort();
             out
         }));
@@ -327,7 +321,7 @@ mod tests {
                 let env = VirtualEnv::new(&ctx);
                 let mr = MapReduce::new(&env, "wc", WordCount, 3);
                 mr.init().await.unwrap();
-                mr.run_worker(4, Duration::from_secs(1)).await.unwrap();
+                mr.run_worker().await.unwrap();
                 Vec::new()
             }));
         }
@@ -394,14 +388,16 @@ mod tests {
             let env = VirtualEnv::new(&ctx);
             let mr = MapReduce::new(&env, "halve", HalveUntilSmall, 2);
             mr.init().await.unwrap();
-            mr.run_driver(vec![37, 8, 129]).await.unwrap()
+            let out = mr.run_driver(vec![37, 8, 129]).await.unwrap();
+            mr.seal().await.unwrap();
+            out
         }));
         for _ in 0..2 {
             actors.push(actor(|ctx: ActorCtx<Cluster>| async move {
                 let env = VirtualEnv::new(&ctx);
                 let mr = MapReduce::new(&env, "halve", HalveUntilSmall, 2);
                 mr.init().await.unwrap();
-                mr.run_worker(6, Duration::from_secs(1)).await.unwrap();
+                mr.run_worker().await.unwrap();
                 Vec::new()
             }));
         }

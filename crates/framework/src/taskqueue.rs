@@ -16,7 +16,12 @@
 //! messages whose dequeue count exceeds the limit — are moved to a
 //! companion `<name>-poison` queue instead of being handed to workers. The
 //! poison queue is created lazily on first use, so clean runs pay nothing.
+//! It is the framework's one dead-letter path.
+//!
+//! [`run_worker`](TaskQueue::run_worker) is the framework's one worker
+//! loop (paper Figure 3).
 
+use azsim_client::resilience::{classify, ErrorClass};
 use azsim_client::{ClientPolicy, Environment, QueueClient};
 use azsim_storage::{QueueMessage, StorageError, StorageResult};
 use bytes::Bytes;
@@ -37,10 +42,43 @@ pub struct ClaimedTask<T> {
     message: QueueMessage,
 }
 
+/// First sleep after an empty claim; each further empty claim doubles it.
+const FIRST_POLL: Duration = Duration::from_secs(1);
+/// Cap on the empty-claim back-off.
+const MAX_POLL: Duration = Duration::from_secs(16);
+
+/// What became of one task a [`run_worker`](TaskQueue::run_worker) loop
+/// processed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TaskOutcome {
+    /// This worker deleted the task: it is done.
+    Completed,
+    /// The claim had expired and the task went to another worker
+    /// (`PopReceiptMismatch`); that worker's attempt is the one that counts.
+    Superseded,
+    /// The delete failed transiently or timed out after the policy's
+    /// retries. The task may still be queued, in which case it reappears
+    /// and is processed again.
+    Ambiguous,
+}
+
+/// Per-outcome task counts of one worker loop.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkerReport {
+    /// Tasks this worker completed.
+    pub completed: usize,
+    /// Tasks whose completion was superseded by a re-delivery.
+    pub superseded: usize,
+    /// Tasks whose completion was ambiguous.
+    pub ambiguous: usize,
+}
+
 /// A typed task queue for payload type `T`.
 pub struct TaskQueue<'e, E: Environment, T> {
+    env: &'e E,
     queue: QueueClient<'e, E>,
     poison: QueueClient<'e, E>,
+    sealed: QueueClient<'e, E>,
     visibility: Duration,
     max_attempts: Option<u32>,
     dead_lettered: Cell<u64>,
@@ -51,10 +89,11 @@ impl<'e, E: Environment, T: Serialize + DeserializeOwned> TaskQueue<'e, E, T> {
     /// Bind to `queue_name` with a default 2-minute processing window.
     pub fn new(env: &'e E, queue_name: impl Into<String>) -> Self {
         let name = queue_name.into();
-        let poison = QueueClient::new(env, format!("{name}-poison"));
         TaskQueue {
+            env,
+            poison: QueueClient::new(env, format!("{name}-poison")),
+            sealed: QueueClient::new(env, format!("{name}-sealed")),
             queue: QueueClient::new(env, name),
-            poison,
             visibility: Duration::from_secs(120),
             max_attempts: None,
             dead_lettered: Cell::new(0),
@@ -82,7 +121,8 @@ impl<'e, E: Environment, T: Serialize + DeserializeOwned> TaskQueue<'e, E, T> {
     pub fn with_policy(mut self, policy: impl Into<ClientPolicy>) -> Self {
         let policy: ClientPolicy = policy.into();
         self.queue = self.queue.with_policy(policy.clone());
-        self.poison = self.poison.with_policy(policy);
+        self.poison = self.poison.with_policy(policy.clone());
+        self.sealed = self.sealed.with_policy(policy);
         self
     }
 
@@ -169,21 +209,83 @@ impl<'e, E: Environment, T: Serialize + DeserializeOwned> TaskQueue<'e, E, T> {
         self.queue.delete_message(&claimed.message).await
     }
 
-    /// Mark a claimed task done with pop-receipt revalidation: `Ok(true)`
-    /// when this call deleted the message, `Ok(false)` when the receipt
-    /// was stale (the task timed out and belongs to another worker now —
-    /// treat your own work as superseded, but don't fail the loop). Use
-    /// under fault injection, where a retried delete whose first attempt
-    /// secretly executed would otherwise surface `PopReceiptMismatch` as
-    /// an error.
-    pub async fn complete_checked(&self, claimed: &ClaimedTask<T>) -> StorageResult<bool> {
-        azsim_client::delete_message_checked(&self.queue, &claimed.message).await
-    }
-
     /// Tasks currently in the queue (visible + in-flight).
     pub async fn pending(&self) -> StorageResult<usize> {
         self.queue.message_count().await
     }
+
+    /// Producer side: declare that no further task will be submitted, so
+    /// workers may stop once the queue is empty. The seal is the existence
+    /// of the companion `<name>-sealed` queue; creating it is idempotent,
+    /// so a retried seal is harmless.
+    pub async fn seal(&self) -> StorageResult<()> {
+        self.sealed.create().await
+    }
+
+    /// `true` once the queue is empty, visible and in flight, and sealed.
+    /// A failed probe reads as "not yet".
+    async fn drained(&self) -> bool {
+        matches!(self.pending().await, Ok(0)) && self.sealed.message_count().await.is_ok()
+    }
+
+    /// Block until the queue is sealed and empty: every task was completed
+    /// or dead-lettered.
+    pub(crate) async fn wait_drained(&self) {
+        while !self.drained().await {
+            self.env.sleep(FIRST_POLL).await;
+        }
+    }
+
+    /// Worker side: claim a task, run `process`, *then* complete it and
+    /// tell `settled` its [`TaskOutcome`]. A task is deleted only after it
+    /// was processed, so delivery is at-least-once. The worker stops only
+    /// when its claim came back empty, the producer has [`seal`](Self::seal)ed
+    /// the queue and nothing is left in it, visible or in flight: a task
+    /// held by a crashed claimant still counts, so someone is there when it
+    /// reappears. Empty or failed claims back off from 1 s, doubling to a
+    /// 16 s cap. An error from `process` or `settled`, or a semantic error
+    /// from a claim or a completion, ends the loop with `Err`.
+    pub async fn run_worker(
+        &self,
+        mut process: impl AsyncFnMut(&ClaimedTask<T>) -> StorageResult<()>,
+        mut settled: impl AsyncFnMut(&ClaimedTask<T>, TaskOutcome) -> StorageResult<()>,
+    ) -> StorageResult<WorkerReport> {
+        let mut report = WorkerReport::default();
+        let mut poll = FIRST_POLL;
+        loop {
+            let claimed = match self.claim().await {
+                Ok(Some(claimed)) => claimed,
+                Ok(None) if self.drained().await => return Ok(report),
+                Err(e) if fatal(&e) => return Err(e),
+                _ => {
+                    self.env.sleep(poll).await;
+                    poll = (poll * 2).min(MAX_POLL);
+                    continue;
+                }
+            };
+            poll = FIRST_POLL;
+            process(&claimed).await?;
+            let outcome = match self.complete(&claimed).await {
+                Ok(()) => TaskOutcome::Completed,
+                Err(StorageError::PopReceiptMismatch) => TaskOutcome::Superseded,
+                Err(e) if fatal(&e) => return Err(e),
+                Err(_) => TaskOutcome::Ambiguous,
+            };
+            match outcome {
+                TaskOutcome::Completed => report.completed += 1,
+                TaskOutcome::Superseded => report.superseded += 1,
+                TaskOutcome::Ambiguous => report.ambiguous += 1,
+            }
+            settled(&claimed, outcome).await?;
+        }
+    }
+}
+
+/// A semantic error, which ends a worker loop. A stale receipt is not one:
+/// on a claim it means a dead-letter delete lost its message to another
+/// worker.
+fn fatal(e: &StorageError) -> bool {
+    classify(e) == ErrorClass::Permanent && *e != StorageError::PopReceiptMismatch
 }
 
 #[cfg(test)]
@@ -274,30 +376,71 @@ mod tests {
                     .await
                     .unwrap();
                 }
+                tq.seal().await.unwrap();
             }
-            // Everyone (submitter included) drains the pool; idle-poll a
-            // few times before giving up.
+            // Everyone (submitter included) drains the pool.
             let mut got = Vec::new();
-            let mut idle = 0;
-            while idle < 3 {
-                match tq.claim().await.unwrap() {
-                    Some(c) => {
-                        idle = 0;
-                        tq.complete(&c).await.unwrap();
-                        got.push(c.task.id);
-                    }
-                    None => {
-                        idle += 1;
-                        ctx.sleep(Duration::from_secs(1)).await;
-                    }
-                }
-            }
+            tq.run_worker(
+                async |_| Ok(()),
+                async |c, outcome| {
+                    assert_eq!(outcome, TaskOutcome::Completed);
+                    got.push(c.task.id);
+                    Ok(())
+                },
+            )
+            .await
+            .unwrap();
             got
         });
         let mut all: Vec<u32> = report.results.into_iter().flatten().collect();
         all.sort_unstable();
         let expect: Vec<u32> = (0..n_tasks).collect();
         assert_eq!(all, expect, "every task exactly once");
+    }
+
+    #[test]
+    fn workers_outwait_a_crashed_claimant_on_a_sealed_queue() {
+        // Actor 0 submits one task, seals, claims the task and "crashes"
+        // (never completes). Actors 1 and 2 are healthy workers: the queue
+        // is sealed but not empty, so they must stay until the task
+        // reappears after its 30 s window, and one of them completes it.
+        let vis = Duration::from_secs(30);
+        let sim = Simulation::new(Cluster::with_defaults(), 12);
+        let report = sim.run_workers(3, move |ctx| async move {
+            let env = VirtualEnv::new(&ctx);
+            let tq: TaskQueue<'_, _, Job> = TaskQueue::new(&env, "tasks").with_visibility(vis);
+            tq.init().await.unwrap();
+            if ctx.id().0 == 0 {
+                tq.submit(&Job {
+                    id: 5,
+                    input_blob: "held".into(),
+                })
+                .await
+                .unwrap();
+                tq.seal().await.unwrap();
+                assert!(tq.claim().await.unwrap().is_some());
+                return (WorkerReport::default(), ctx.now());
+            }
+            ctx.sleep(Duration::from_millis(100)).await;
+            let r = tq
+                .run_worker(async |_| Ok(()), async |_, _| Ok(()))
+                .await
+                .unwrap();
+            (r, ctx.now())
+        });
+        let completed: usize = report.results.iter().map(|(r, _)| r.completed).sum();
+        assert_eq!(completed, 1, "the abandoned task must be completed");
+        for (_, stopped) in &report.results[1..] {
+            assert!(stopped.as_secs_f64() > 30.0, "a worker left at {stopped:?}");
+        }
+        let mut model = report.model;
+        assert_eq!(
+            model
+                .queue_store_mut()
+                .approximate_count(report.end_time, "tasks")
+                .unwrap(),
+            0
+        );
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn main() {
             results.create_table().await.unwrap();
 
             let r = bag
-                .run_worker(3, Duration::from_secs(1), &env, async |task, _attempt| {
+                .run_worker(async |task, _attempt| {
                     // Monte-Carlo estimate (deterministic per task seed).
                     let mut rng = azsim_core::rng::stream_rng(task.seed, 0);
                     let mut inside = 0u64;
@@ -110,9 +110,9 @@ fn main() {
                 .unwrap();
             println!(
                 "[worker {}] processed {} tasks",
-                env_meta.instance, r.processed
+                env_meta.instance, r.completed
             );
-            r.processed
+            r.completed
         })
         .run();
 

@@ -5,7 +5,7 @@
 //! mechanisms": a worker that claims a task and crashes never deletes the
 //! message, so after the visibility timeout the task *reappears* and a
 //! healthy worker finishes it. This example makes one worker crash-prone
-//! (it abandons every first attempt) and shows that every task still
+//! (it abandons every task it claims) and shows that every task still
 //! completes exactly once.
 //!
 //! ```text
@@ -37,38 +37,24 @@ fn main() {
             for id in 0..JOBS {
                 tq.submit(&Job { id }).await.unwrap();
             }
+            tq.seal().await.unwrap();
             println!("[submitter] {JOBS} jobs queued");
             (0, 0)
         })
-        // A byzantine worker: claims tasks but "crashes" (abandons) every
-        // task it sees on first delivery.
+        // A byzantine worker: claims a few tasks and "crashes" on each.
         .with_role("flaky", 1, VmSize::Small, |ctx, _| async move {
             let env = VirtualEnv::new(&ctx);
             let tq: TaskQueue<'_, _, Job> =
                 TaskQueue::new(&env, "jobs").with_visibility(VISIBILITY);
             tq.init().await.unwrap();
             let mut abandoned = 0;
-            let mut idle = 0;
-            while idle < 3 {
-                match tq.claim().await.unwrap() {
-                    Some(c) if c.attempt == 1 => {
-                        // Crash mid-task: no complete(), no signal.
-                        abandoned += 1;
-                        ctx.sleep(Duration::from_millis(100)).await;
-                    }
-                    Some(c) => {
-                        // Even the flaky worker finishes re-deliveries.
-                        tq.complete(&c).await.unwrap();
-                        idle = 0;
-                        ctx.sleep(Duration::from_millis(100)).await;
-                    }
-                    None => {
-                        idle += 1;
-                        ctx.sleep(Duration::from_secs(2)).await;
-                    }
+            for _ in 0..5 {
+                if tq.claim().await.unwrap().is_some() {
+                    abandoned += 1; // crash mid-task: no complete()
                 }
+                ctx.sleep(Duration::from_millis(100)).await;
             }
-            println!("[flaky] abandoned {abandoned} first attempts");
+            println!("[flaky] abandoned {abandoned} tasks");
             (0, abandoned)
         })
         // Healthy workers: process whatever reappears.
@@ -77,31 +63,25 @@ fn main() {
             let tq: TaskQueue<'_, _, Job> =
                 TaskQueue::new(&env, "jobs").with_visibility(VISIBILITY);
             tq.init().await.unwrap();
-            let mut done = 0;
             let mut retried = 0;
-            let mut idle = 0;
-            while idle < 8 {
-                match tq.claim().await.unwrap() {
-                    Some(c) => {
-                        idle = 0;
+            let r = tq
+                .run_worker(
+                    async |c| {
                         if c.attempt > 1 {
                             retried += 1;
                         }
                         ctx.sleep(Duration::from_millis(250)).await; // the "work"
-                        tq.complete(&c).await.unwrap();
-                        done += 1;
-                    }
-                    None => {
-                        idle += 1;
-                        ctx.sleep(Duration::from_secs(2)).await;
-                    }
-                }
-            }
+                        Ok(())
+                    },
+                    async |_, _| Ok(()),
+                )
+                .await
+                .unwrap();
             println!(
-                "[worker {}] completed {done} jobs ({retried} were re-deliveries)",
-                meta.instance
+                "[worker {}] completed {} jobs ({retried} were re-deliveries)",
+                meta.instance, r.completed
             );
-            (done, retried)
+            (r.completed as u32, retried)
         })
         .run();
 
@@ -119,6 +99,7 @@ fn main() {
          {remaining} left in queue"
     );
     assert_eq!(remaining, 0, "no job may be lost");
+    assert_eq!(completed, JOBS, "every job completes exactly once");
     assert!(
         redelivered > 0,
         "the crashes must have caused re-deliveries"

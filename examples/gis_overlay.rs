@@ -20,7 +20,6 @@ use azsim_framework::BagOfTasks;
 use azsim_storage::{Entity, PropValue};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// An axis-aligned rectangle (a degenerate but honest polygon — enough to
 /// exercise the overlay data path end to end).
@@ -107,7 +106,8 @@ fn main() {
             let submitted = bag.submit_all(tasks).await.unwrap();
             println!("[web] partitioned {CELLS} cells, submitted {submitted} tasks");
 
-            let done = bag.wait_all(submitted).await.unwrap();
+            bag.wait_all().await;
+            let done = bag.done.count().await.unwrap();
             println!("[web] overlay complete: {done} signals");
 
             // Collect the total intersection area.
@@ -133,10 +133,10 @@ fn main() {
             let results = TableClient::new(&env, "overlay");
             results.create_table().await.unwrap();
 
-            // Patient idle budget: the web role spends several virtual
-            // seconds uploading cell geometry before any task appears.
+            // The web role spends several virtual seconds uploading cell
+            // geometry before any task appears; workers wait for its seal.
             let r = bag
-                .run_worker(20, Duration::from_secs(2), &env, async |task, _attempt| {
+                .run_worker(async |task, _attempt| {
                     // I/O phase: fetch both layers from Blob storage.
                     let a: Vec<Rect> =
                         serde_json::from_slice(&blobs.download(&task.blob_a).await.unwrap())
@@ -160,8 +160,8 @@ fn main() {
                 })
                 .await
                 .unwrap();
-            println!("[worker {}] overlaid {} cells", meta.instance, r.processed);
-            r.processed as f64
+            println!("[worker {}] overlaid {} cells", meta.instance, r.completed);
+            r.completed as f64
         })
         .run();
 

@@ -18,7 +18,6 @@ use azsim_compute::{Deployment, VmSize};
 use azsim_fabric::ClusterParams;
 use azsim_framework::{MapReduce, MapReduceJob};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 const K: usize = 3;
 const CHUNKS: usize = 12;
@@ -163,6 +162,7 @@ fn main() {
                     break;
                 }
             }
+            mr.seal().await.unwrap();
             // Each recovered centroid must sit near one hidden center.
             for (cx, cy) in &centroids {
                 let nearest = HIDDEN_CENTERS
@@ -181,8 +181,8 @@ fn main() {
             let env = VirtualEnv::new(&ctx);
             let mr = MapReduce::new(&env, "kmeans", KMeans, K);
             mr.init().await.unwrap();
-            // Patient workers: the driver runs many rounds with gaps.
-            let (maps, reduces) = mr.run_worker(25, Duration::from_secs(2)).await.unwrap();
+            // Workers serve every round until the driver seals the queue.
+            let (maps, reduces) = mr.run_worker().await.unwrap();
             println!("[worker {}] {maps} maps, {reduces} reduces", meta.instance);
             maps + reduces
         })

@@ -29,25 +29,32 @@ fn web_role_plus_workers_full_lifecycle() {
             .submit_all((0..tasks).map(|id| Work { id }))
             .await
             .unwrap();
-        bag.wait_all(n).await.unwrap()
+        bag.wait_all().await;
+        n
     }));
     for _ in 0..workers {
         actors.push(actor(move |ctx: ActorCtx<Cluster>| async move {
             let env = VirtualEnv::new(&ctx);
             let bag: BagOfTasks<'_, _, Work> = BagOfTasks::new(&env, "life");
             bag.init().await.unwrap();
-            bag.run_worker(3, Duration::from_secs(1), &env, async |_t, _a| {
+            bag.run_worker(async |_t, _a| {
                 ctx.sleep(Duration::from_millis(50)).await;
             })
             .await
             .unwrap()
-            .processed
+            .completed
         }));
     }
     let report = sim.run(actors);
-    assert!(report.results[0] >= tasks as usize);
+    assert_eq!(report.results[0], tasks as usize);
     let total: usize = report.results[1..].iter().sum();
     assert_eq!(total, tasks as usize);
+    let mut model = report.model;
+    let signals = model
+        .queue_store_mut()
+        .approximate_count(report.end_time, "life-done")
+        .unwrap();
+    assert!(signals >= tasks as usize);
 }
 
 #[test]
@@ -67,6 +74,7 @@ fn crashed_worker_tasks_are_recovered_by_healthy_workers() {
         for id in 0..tasks {
             tq.submit(&Work { id }).await.unwrap();
         }
+        tq.seal().await.unwrap();
         let mut claimed = 0;
         while claimed < 5 {
             if tq.claim().await.unwrap().is_some() {
@@ -82,26 +90,20 @@ fn crashed_worker_tasks_are_recovered_by_healthy_workers() {
             let tq: TaskQueue<'_, _, Work> = TaskQueue::new(&env, "rec-tasks").with_visibility(vis);
             tq.init().await.unwrap();
             ctx.sleep(Duration::from_secs(1)).await;
-            let mut done = 0;
             let mut retried = 0;
-            let mut idle = 0;
-            while idle < 6 {
-                match tq.claim().await.unwrap() {
-                    Some(c) => {
-                        idle = 0;
+            let r = tq
+                .run_worker(
+                    async |c| {
                         if c.attempt > 1 {
                             retried += 1;
                         }
-                        tq.complete(&c).await.unwrap();
-                        done += 1;
-                    }
-                    None => {
-                        idle += 1;
-                        ctx.sleep(Duration::from_secs(2)).await;
-                    }
-                }
-            }
-            (done, retried)
+                        Ok(())
+                    },
+                    async |_, _| Ok(()),
+                )
+                .await
+                .unwrap();
+            (r.completed, retried)
         }));
     }
     let report = sim.run(actors);
@@ -131,16 +133,14 @@ fn deployment_mixes_vm_sizes_with_framework() {
             bag.submit_all((0..tasks).map(|id| Work { id }))
                 .await
                 .unwrap();
-            bag.wait_all(tasks as usize).await.unwrap()
+            bag.wait_all().await;
+            0
         })
         .with_role("worker", 4, VmSize::ExtraSmall, move |ctx, _| async move {
             let env = VirtualEnv::new(&ctx);
             let bag: BagOfTasks<'_, _, Work> = BagOfTasks::new(&env, "mix");
             bag.init().await.unwrap();
-            bag.run_worker(3, Duration::from_secs(1), &env, async |_t, _a| {})
-                .await
-                .unwrap()
-                .processed
+            bag.run_worker(async |_t, _a| {}).await.unwrap().completed
         })
         .run();
     let total: usize = report.results[1..].iter().sum();
