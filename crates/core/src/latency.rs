@@ -13,7 +13,7 @@ use crate::payload::PayloadGen;
 use azsim_client::{BlobClient, Environment, QueueClient, TableClient, VirtualEnv};
 use azsim_core::stats::Samples;
 use azsim_core::Simulation;
-use azsim_fabric::{TraceOutcome, Tracer};
+use azsim_fabric::{OpOutcome, Tracer};
 use azsim_storage::{Entity, OpClass, PropValue};
 use std::collections::HashMap;
 
@@ -36,15 +36,15 @@ impl LatencyReport {
         let mut report = LatencyReport::default();
         for r in tracer.records() {
             match r.outcome {
-                TraceOutcome::Ok => report
+                OpOutcome::Ok => report
                     .per_class
                     .entry(r.class)
                     .or_default()
                     .record(r.latency().as_secs_f64()),
-                TraceOutcome::Throttled => report.throttled += 1,
-                TraceOutcome::Failed => report.failed += 1,
-                TraceOutcome::Faulted => report.faulted += 1,
-                TraceOutcome::TimedOut => report.timed_out += 1,
+                OpOutcome::Throttled => report.throttled += 1,
+                OpOutcome::Error => report.failed += 1,
+                OpOutcome::Faulted => report.faulted += 1,
+                OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted => report.timed_out += 1,
             }
         }
         report
@@ -157,7 +157,7 @@ pub fn profile_mixed(cfg: &BenchConfig, workers: usize, ops_per_worker: usize) -
 mod tests {
     use super::*;
     use azsim_core::SimTime;
-    use azsim_fabric::{PhaseBreadcrumb, TraceRecord};
+    use azsim_fabric::{OpRecord, PhaseBreadcrumb};
 
     #[test]
     fn mixed_profile_covers_all_three_services() {
@@ -219,25 +219,28 @@ mod tests {
     fn failure_kinds_are_counted_separately() {
         // Regression: Failed | Faulted | TimedOut used to collapse into one
         // `failed` counter, hiding what fault injection actually did.
-        let mut tracer = Tracer::with_capacity(16);
-        let rec = |outcome| TraceRecord {
+        let mut tracer = Tracer::default();
+        tracer.keep_records(16);
+        let rec = |outcome| OpRecord {
             issued: SimTime(0),
             completed: SimTime(1_000_000),
             actor: 0,
             class: OpClass::QueuePut,
+            partition: 0,
             outcome,
+            throttled: false,
             bytes_up: 8,
             bytes_down: 0,
             phases: PhaseBreadcrumb::new(),
         };
-        tracer.record(rec(TraceOutcome::Ok));
-        tracer.record(rec(TraceOutcome::Throttled));
-        tracer.record(rec(TraceOutcome::Failed));
-        tracer.record(rec(TraceOutcome::Failed));
-        tracer.record(rec(TraceOutcome::Faulted));
-        tracer.record(rec(TraceOutcome::Faulted));
-        tracer.record(rec(TraceOutcome::Faulted));
-        tracer.record(rec(TraceOutcome::TimedOut));
+        tracer.record(rec(OpOutcome::Ok));
+        tracer.record(rec(OpOutcome::Throttled));
+        tracer.record(rec(OpOutcome::Error));
+        tracer.record(rec(OpOutcome::Error));
+        tracer.record(rec(OpOutcome::Faulted));
+        tracer.record(rec(OpOutcome::Faulted));
+        tracer.record(rec(OpOutcome::Faulted));
+        tracer.record(rec(OpOutcome::TimedOutExecuted));
 
         let r = LatencyReport::from_trace(&tracer);
         assert_eq!(r.throttled(), 1);

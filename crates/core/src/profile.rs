@@ -327,7 +327,7 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use azsim_fabric::TraceOutcome;
+    use azsim_fabric::OpOutcome;
 
     fn small_profile() -> ProfileReport {
         let cfg = BenchConfig::paper().with_scale(0.05).with_sweep_threads(1);
@@ -359,7 +359,7 @@ mod tests {
             assert!(e2e.count() > 0);
             assert!(e2e.quantile(0.5) <= e2e.quantile(0.95));
             assert!(e2e.quantile(0.95) <= e2e.quantile(0.99));
-            assert!(stats.outcome_count(TraceOutcome::Ok) > 0);
+            assert!(stats.outcome_count(OpOutcome::Ok) > 0);
         }
     }
 

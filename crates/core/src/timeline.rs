@@ -27,7 +27,7 @@ use azsim_client::{
 };
 use azsim_core::timeline::{GaugeRecorder, TimelineEvent};
 use azsim_core::{SimTime, Simulation};
-use azsim_fabric::{BusyStorm, Cluster, FaultPlan, Phase, ResourceUsage, ServerCrash, TraceRecord};
+use azsim_fabric::{BusyStorm, Cluster, FaultPlan, OpRecord, Phase, ResourceUsage, ServerCrash};
 use azsim_storage::{Entity, PropValue};
 use serde::ser::write_escaped;
 use serde::Serialize;
@@ -65,7 +65,7 @@ pub struct TimelineReport {
     pub snapshot: azsim_fabric::metrics::MetricsSnapshot,
     recorder: GaugeRecorder,
     events: Vec<TimelineEvent>,
-    records: Vec<TraceRecord>,
+    records: Vec<OpRecord>,
     plan: FaultPlan,
 }
 
@@ -290,8 +290,8 @@ impl TimelineReport {
         &self.events
     }
 
-    /// The retained per-operation trace records.
-    pub fn records(&self) -> &[TraceRecord] {
+    /// The retained per-operation records.
+    pub fn records(&self) -> &[OpRecord] {
         &self.records
     }
 

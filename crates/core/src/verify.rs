@@ -345,8 +345,9 @@ pub fn run_verify(cfg: &VerifyConfig, plan: &FaultPlan) -> VerifyOutcome {
     let end = report.end_time;
     let history = report
         .model
-        .history()
-        .expect("history recording was enabled");
+        .tracer()
+        .expect("history recording was enabled")
+        .records();
     let main_audit = report
         .model
         .queue_audit(end, VERIFY_QUEUE)
@@ -392,11 +393,18 @@ pub fn run_verify(cfg: &VerifyConfig, plan: &FaultPlan) -> VerifyOutcome {
         );
     }
 
-    let ambiguous_put = history
-        .records()
-        .iter()
-        .any(|r| matches!(r.class, OpClass::QueuePut) && r.outcome == OpOutcome::TimedOutExecuted);
-    let any_ambiguous = history.ambiguous_executed() > 0;
+    let (mut ambiguous_put, mut ambiguous_executed, mut ambiguous_lost) = (false, 0, 0);
+    for r in history {
+        match r.outcome {
+            OpOutcome::TimedOutExecuted => {
+                ambiguous_executed += 1;
+                ambiguous_put |= r.class == OpClass::QueuePut;
+            }
+            OpOutcome::TimedOutLost => ambiguous_lost += 1,
+            _ => {}
+        }
+    }
+    let any_ambiguous = ambiguous_executed > 0;
 
     // I1: no acked queue write lost.
     for &id in &acked_items {
@@ -476,9 +484,9 @@ pub fn run_verify(cfg: &VerifyConfig, plan: &FaultPlan) -> VerifyOutcome {
 
     VerifyOutcome {
         violations,
-        ops: history.records().len(),
-        ambiguous_executed: history.ambiguous_executed(),
-        ambiguous_lost: history.ambiguous_lost(),
+        ops: history.len(),
+        ambiguous_executed,
+        ambiguous_lost,
         consumed_distinct: consumed_any.len(),
         consumed_total: consumed_any.values().sum(),
         poison_parked: poison_audit.len(),

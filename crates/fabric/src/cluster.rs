@@ -22,8 +22,7 @@ use crate::metrics::ClusterMetrics;
 use crate::metrics::{MetricsSnapshot, PartitionHeat};
 use crate::params::ClusterParams;
 use crate::timeline::{ClusterSample, ClusterTimeline, ResourceUsage};
-use crate::trace::{Phase, PhaseBreadcrumb, TraceOutcome, TraceRecord, Tracer};
-use crate::verify::{History, OpOutcome, OpRecord};
+use crate::trace::{OpOutcome, OpRecord, Phase, PhaseBreadcrumb, Tracer};
 use azsim_blob::BlobStore;
 use azsim_core::resource::{Admission, FifoServer, Pipe, TokenBucket};
 use azsim_core::runtime::{ActorId, Model};
@@ -94,23 +93,6 @@ fn update_limited_object(req: &StorageRequest) -> Option<String> {
     }
 }
 
-/// How one submitted operation ended: everything [`Cluster::finish`]
-/// accounts for it.
-struct OpEnd {
-    issued: SimTime,
-    done: SimTime,
-    actor: usize,
-    class: OpClass,
-    slot: usize,
-    outcome: OpOutcome,
-    /// Rejected by a throttle or an injected storm, whatever the client
-    /// then observed.
-    throttled: bool,
-    bytes_up: u64,
-    bytes_down: u64,
-    phases: PhaseBreadcrumb,
-}
-
 /// The simulated storage cluster for one account.
 pub struct Cluster {
     params: ClusterParams,
@@ -146,7 +128,6 @@ pub struct Cluster {
     tracer: Option<Tracer>,
     timeline: Option<ClusterTimeline>,
     faults: FaultInjector,
-    history: Option<History>,
 }
 
 impl Cluster {
@@ -208,7 +189,6 @@ impl Cluster {
             tracer: None,
             timeline: params.timeline_resolution.map(ClusterTimeline::new),
             faults: FaultInjector::inert(),
-            history: None,
             params,
         }
     }
@@ -298,16 +278,18 @@ impl Cluster {
         self.faults.metrics()
     }
 
-    /// Record one ground-truth [`OpRecord`] per submitted operation —
-    /// including whether timed-out operations secretly executed. Off by
-    /// default (one branch per op when off); enable for verification runs.
+    /// Keep every [`OpRecord`] — including whether timed-out operations
+    /// secretly executed — as the ground-truth history of a verification
+    /// run. Off by default (one branch per op when off).
     pub fn enable_history(&mut self) {
-        self.history = Some(History::default());
+        self.tracer
+            .get_or_insert_with(Tracer::default)
+            .keep_records(usize::MAX);
     }
 
-    /// The recorded ground-truth history, if enabled.
-    pub fn history(&self) -> Option<&History> {
-        self.history.as_ref()
+    /// The partition an [`OpRecord::partition`] id names.
+    pub fn partition_key(&self, id: u32) -> &PartitionKey {
+        &self.slots[id as usize].key
     }
 
     /// Ground-truth audit of one queue's live messages at `now` — the
@@ -366,20 +348,20 @@ impl Cluster {
         )
     }
 
-    /// Record one [`TraceRecord`] per operation, keeping at most
-    /// `capacity` records. Off by default.
+    /// Keep up to `capacity` [`OpRecord`]s (the largest capacity requested
+    /// wins, so a history stays unbounded). Off by default.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.tracer = Some(Tracer::with_capacity(capacity));
+        self.tracer
+            .get_or_insert_with(Tracer::default)
+            .keep_records(capacity);
     }
 
-    /// Stream every operation into a per-class/per-phase aggregate without
-    /// retaining records — O(1) memory per operation. If a record buffer is
-    /// already enabled, aggregation is added alongside it.
+    /// Stream every operation into a per-class/per-phase aggregate —
+    /// O(1) memory per operation — beside any record buffer.
     pub fn enable_phase_profiling(&mut self) {
-        match &mut self.tracer {
-            Some(tr) => tr.enable_aggregation(),
-            None => self.tracer = Some(Tracer::aggregate_only()),
-        }
+        self.tracer
+            .get_or_insert_with(Tracer::default)
+            .enable_aggregation();
     }
 
     /// Sample the gauge timeline (token-bucket fill, FIFO backlog,
@@ -526,7 +508,7 @@ impl Cluster {
         out
     }
 
-    /// The trace buffer, if tracing is enabled.
+    /// The op recorder, if tracing, profiling or the history is enabled.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.tracer.as_ref()
     }
@@ -912,13 +894,12 @@ impl Cluster {
     }
 
     /// Account one finished operation in every sink — the class counters,
-    /// the timeline, the tracer and the history — and hand back its
-    /// completion time and result. Every exit of [`Cluster::submit`] ends
-    /// here.
+    /// the timeline and the recorder — and hand back its completion time
+    /// and result. Every exit of [`Cluster::submit`] ends here.
     #[inline(always)]
     fn finish(
         &mut self,
-        op: OpEnd,
+        op: OpRecord,
         result: StorageResult<StorageOk>,
     ) -> (SimTime, StorageResult<StorageOk>) {
         let c = self.metrics.counter_mut(op.class);
@@ -931,50 +912,24 @@ impl Cluster {
             c.bytes_up += op.bytes_up;
             c.bytes_down += op.bytes_down;
             if op.outcome == OpOutcome::Ok {
-                c.latency.record((op.done - op.issued).as_secs_f64());
+                c.latency.record(op.latency().as_secs_f64());
             }
         } else {
             c.failed += 1;
         }
-        let timed_out = matches!(
-            op.outcome,
-            OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted
-        );
         if let Some(tl) = self.timeline.as_mut() {
-            tl.note_outcome(op.issued, op.done, op.throttled);
-            if timed_out {
+            tl.note_outcome(op.issued, op.completed, op.throttled);
+            if matches!(
+                op.outcome,
+                OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted
+            ) {
                 tl.note_ambiguous(op.issued);
             }
         }
         if let Some(tr) = &mut self.tracer {
-            tr.record(TraceRecord {
-                issued: op.issued,
-                completed: op.done,
-                actor: op.actor,
-                class: op.class,
-                outcome: match op.outcome {
-                    OpOutcome::Ok => TraceOutcome::Ok,
-                    OpOutcome::Throttled => TraceOutcome::Throttled,
-                    OpOutcome::Faulted => TraceOutcome::Faulted,
-                    OpOutcome::Error => TraceOutcome::Failed,
-                    OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted => TraceOutcome::TimedOut,
-                },
-                bytes_up: op.bytes_up,
-                bytes_down: op.bytes_down,
-                phases: op.phases,
-            });
+            tr.record(op);
         }
-        if let Some(h) = &mut self.history {
-            h.push(OpRecord {
-                issued: op.issued,
-                completed: op.done,
-                actor: op.actor,
-                class: op.class,
-                partition: self.slots[op.slot].key.clone(),
-                outcome: op.outcome,
-            });
-        }
-        (op.done, result)
+        (op.completed, result)
     }
 
     /// Whether the 16 KB `GetMessage` anomaly applies to this payload.
@@ -1019,12 +974,12 @@ impl Cluster {
             let mut phases = PhaseBreadcrumb::new();
             phases.add(Phase::ClientSend, t_fault.saturating_since(now));
             phases.add(Phase::Rejection, done.saturating_since(t_fault));
-            OpEnd {
+            OpRecord {
                 issued: now,
-                done,
+                completed: done,
                 actor,
                 class,
-                slot,
+                partition: slot as u32,
                 outcome,
                 throttled,
                 bytes_up: up,
@@ -1208,12 +1163,12 @@ impl Cluster {
             Phase::ReplicaSync,
             t_replica_end.saturating_since(t_service_end),
         );
-        let mut op = OpEnd {
+        let mut op = OpRecord {
             issued: now,
-            done: t,
+            completed: t,
             actor,
             class,
-            slot,
+            partition: slot as u32,
             outcome: if result.is_ok() {
                 OpOutcome::Ok
             } else {
@@ -1232,9 +1187,11 @@ impl Cluster {
         // (e.g. AlreadyExists) changed nothing, and its definite answer
         // was lost with the ack.
         if let Some(elapsed) = ack_loss {
-            op.done = (t_fault + elapsed).max(t);
-            op.phases
-                .add(Phase::Rejection, op.done.saturating_since(t_replica_end));
+            op.completed = (t_fault + elapsed).max(t);
+            op.phases.add(
+                Phase::Rejection,
+                op.completed.saturating_since(t_replica_end),
+            );
             op.bytes_down = 0;
             op.outcome = if result.is_ok() {
                 OpOutcome::TimedOutExecuted
@@ -1682,12 +1639,41 @@ mod tests {
         let r = &tr.records()[1];
         assert_eq!(r.actor, 3);
         assert_eq!(r.class, OpClass::QueuePut);
-        assert_eq!(r.outcome, crate::trace::TraceOutcome::Ok);
+        assert_eq!(r.outcome, OpOutcome::Ok);
         assert_eq!(r.bytes_up, 256);
         assert!(r.latency() > Duration::ZERO);
-        assert_eq!(tr.records()[2].outcome, crate::trace::TraceOutcome::Failed);
-        let csv = tr.to_csv();
-        assert_eq!(csv.lines().count(), 4);
+        assert_eq!(c.partition_key(r.partition).to_string(), "queue:q");
+        assert_eq!(tr.records()[2].outcome, OpOutcome::Error);
+    }
+
+    /// The recorder's two switches compose: the buffer keeps the largest
+    /// capacity requested (a history asks for every op), and the aggregate
+    /// sees every op whatever the buffer keeps.
+    #[test]
+    fn tracing_history_and_profiling_share_one_recorder() {
+        let ops = 40;
+        for profiled in [false, true] {
+            let mut c = cluster();
+            c.enable_tracing(16);
+            c.enable_history();
+            if profiled {
+                c.enable_phase_profiling();
+            }
+            c.enable_tracing(8);
+            c.submit(at(0), 0, &StorageRequest::CreateQueue { queue: "q".into() })
+                .1
+                .unwrap();
+            for i in 1..ops {
+                c.submit(at(i), 0, &put_msg("q", 64)).1.unwrap();
+            }
+            let tr = c.tracer().unwrap();
+            assert_eq!(tr.records().len(), ops as usize, "history keeps every op");
+            assert_eq!(tr.dropped(), 0);
+            assert_eq!(
+                tr.phase_stats().map(|a| a.total_records()),
+                profiled.then_some(ops)
+            );
+        }
     }
 
     #[test]
@@ -1711,7 +1697,7 @@ mod tests {
             .iter()
             .map(|r| r.outcome)
             .collect();
-        assert!(outcomes.contains(&crate::trace::TraceOutcome::Throttled));
+        assert!(outcomes.contains(&OpOutcome::Throttled));
     }
 
     #[test]
@@ -1780,8 +1766,8 @@ mod tests {
     }
 
     /// Every way `submit` can end, as every sink sees it: the class
-    /// counter, the partition heat, the trace row, the history record and
-    /// the timeline counters, plus the completion time and the result.
+    /// counter, the partition heat, the op record and the timeline
+    /// counters, plus the completion time and the result.
     #[test]
     fn every_submit_exit_feeds_every_sink() {
         use crate::faults::{BusyStorm, PartitionBlackout};
@@ -1846,71 +1832,71 @@ mod tests {
         };
         let put = |queue| put_msg(queue, 16);
         // (exit, fault plan, 1 msg/s bucket, probe, what the sinks saw): the
-        // `sinks` deltas, trace outcome / bytes down, history outcome,
-        // latency in ns and the result.
+        // `sinks` deltas, record outcome / bytes down, latency in ns and the
+        // result.
         let exits = [
             (
                 "busy storm",
                 &storm,
                 false,
                 put("q"),
-                "[0, 1, 0, 0, 0, 0, 0, 1, 1, 0] Throttled/0 Throttled 3001221 Err(ServerBusy { retry_after: 2s })",
+                "[0, 1, 0, 0, 0, 0, 0, 1, 1, 0] Throttled/0 3001221 Err(ServerBusy { retry_after: 2s })",
             ),
             (
                 "blackout",
                 &blackout,
                 false,
                 put("q"),
-                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 0] Faulted/0 Faulted 3001221 Err(ServerFault { retry_after: 3599.987998779s })",
+                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 0] Faulted/0 3001221 Err(ServerFault { retry_after: 3599.987998779s })",
             ),
             (
                 "dropped request",
                 &drop,
                 false,
                 put("q"),
-                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 1] TimedOut/0 TimedOutLost 30002001221 Err(Timeout { elapsed: 30s })",
+                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 1] TimedOutLost/0 30002001221 Err(Timeout { elapsed: 30s })",
             ),
             (
                 "bucket throttle",
                 &none,
                 true,
                 put("q"),
-                "[0, 1, 0, 0, 0, 0, 1, 1, 1, 0] Throttled/0 Throttled 3001221 Err(ServerBusy { retry_after: 1s })",
+                "[0, 1, 0, 0, 0, 0, 1, 1, 1, 0] Throttled/0 3001221 Err(ServerBusy { retry_after: 1s })",
             ),
             (
                 "throttle with a lost ack",
                 &ack,
                 true,
                 put("q"),
-                "[0, 1, 0, 0, 0, 0, 1, 1, 1, 1] TimedOut/0 TimedOutLost 30002001221 Err(Timeout { elapsed: 30s })",
+                "[0, 1, 0, 0, 0, 0, 1, 1, 1, 1] TimedOutLost/0 30002001221 Err(Timeout { elapsed: 30s })",
             ),
             (
                 "lost ack after an executed write",
                 &ack,
                 false,
                 put("q"),
-                "[1, 0, 0, 16, 0, 0, 0, 1, 0, 1] TimedOut/0 TimedOutExecuted 30002001221 Err(Timeout { elapsed: 30s })",
+                "[1, 0, 0, 16, 0, 0, 0, 1, 0, 1] TimedOutExecuted/0 30002001221 Err(Timeout { elapsed: 30s })",
             ),
             (
                 "lost ack after a semantic error",
                 &ack,
                 false,
                 put("nope"),
-                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 1] TimedOut/0 TimedOutLost 30002001221 Err(Timeout { elapsed: 30s })",
+                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 1] TimedOutLost/0 30002001221 Err(Timeout { elapsed: 30s })",
             ),
             (
                 "plain ok",
                 &none,
                 false,
                 get,
-                "[1, 0, 0, 0, 16, 1, 0, 1, 0, 0] Ok/16 Ok 19501288 Ok(())",
+                "[1, 0, 0, 0, 16, 1, 0, 1, 0, 0] Ok/16 19501288 Ok(())",
             ),
             (
                 "plain error",
                 &none,
                 false,
                 put("nope"),
-                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 0] Failed/0 Error 3501288 Err(QueueNotFound(\"nope\"))",
+                "[0, 0, 1, 0, 0, 0, 0, 1, 0, 0] Error/0 3501288 Err(QueueNotFound(\"nope\"))",
             ),
         ];
         for (name, plan, throttling, probe, want) in exits {
@@ -1940,16 +1926,18 @@ mod tests {
             let mut d = sinks(&c, &probe);
             d.iter_mut().zip(before).for_each(|(a, b)| *a -= b);
             let rec = *c.tracer().unwrap().records().last().unwrap();
-            let h = c.history().unwrap().records().last().unwrap();
             let (lat, r) = ((done - at(10)).as_nanos(), r.map(|_| ()));
-            let (trace, down) = (rec.outcome, rec.bytes_down);
-            let seen = format!("{d:?} {trace:?}/{down} {:?} {lat} {r:?}", h.outcome);
+            let (outcome, down) = (rec.outcome, rec.bytes_down);
+            let seen = format!("{d:?} {outcome:?}/{down} {lat} {r:?}");
             assert_eq!(seen, want, "{name}");
             let span = (rec.issued, rec.completed, rec.phases.total());
-            assert_eq!(span, (at(10), done, done - at(10)), "{name}: trace span");
+            assert_eq!(span, (at(10), done, done - at(10)), "{name}: span");
             assert_eq!((rec.actor, rec.class), (1, probe.class()), "{name}");
             assert_eq!(rec.bytes_up, probe.payload_bytes_up(), "{name}");
-            assert_eq!((h.issued, h.completed), (at(10), done), "{name}");
+            let throttled = d[1] == 1;
+            assert_eq!(rec.throttled, throttled, "{name}");
+            let key = c.partition_key(rec.partition);
+            assert!(probe.partition_ref().matches(key), "{name}: partition");
         }
     }
 

@@ -35,7 +35,6 @@ pub mod metrics;
 pub mod params;
 pub mod timeline;
 pub mod trace;
-pub mod verify;
 
 pub use backend::{BackendKind, BackendProfile, ThrottleShape};
 pub use cluster::Cluster;
@@ -46,5 +45,4 @@ pub use fleet::{Fleet, FleetReq};
 pub use metrics::{ClusterMetrics, MetricsSnapshot, OpCounter, PartitionHeat};
 pub use params::ClusterParams;
 pub use timeline::{ClusterTimeline, ResourceUsage};
-pub use trace::{Phase, PhaseAggregate, PhaseBreadcrumb, TraceOutcome, TraceRecord, Tracer};
-pub use verify::{History, OpOutcome, OpRecord};
+pub use trace::{OpOutcome, OpRecord, Phase, PhaseAggregate, PhaseBreadcrumb, Tracer};

@@ -9,7 +9,7 @@
 //! points) — one snapshot feeds every export.
 
 use crate::faults::FaultMetrics;
-use crate::trace::{Phase, PhaseAggregate, TraceOutcome};
+use crate::trace::{OpOutcome, Phase, PhaseAggregate};
 use azsim_core::stats::{Histogram, OnlineStats};
 use azsim_storage::OpClass;
 use serde::Serialize;
@@ -288,11 +288,12 @@ pub fn phase_snapshots(agg: &PhaseAggregate) -> Vec<ClassPhaseSnapshot> {
         .map(|(class, stats)| ClassPhaseSnapshot {
             class: class.label().to_string(),
             outcomes: OutcomeSnapshot {
-                ok: stats.outcome_count(TraceOutcome::Ok),
-                throttled: stats.outcome_count(TraceOutcome::Throttled),
-                failed: stats.outcome_count(TraceOutcome::Failed),
-                faulted: stats.outcome_count(TraceOutcome::Faulted),
-                timed_out: stats.outcome_count(TraceOutcome::TimedOut),
+                ok: stats.outcome_count(OpOutcome::Ok),
+                throttled: stats.outcome_count(OpOutcome::Throttled),
+                failed: stats.outcome_count(OpOutcome::Error),
+                faulted: stats.outcome_count(OpOutcome::Faulted),
+                timed_out: stats.outcome_count(OpOutcome::TimedOutLost)
+                    + stats.outcome_count(OpOutcome::TimedOutExecuted),
             },
             end_to_end: QuantileSnapshot::of("end_to_end", stats.end_to_end()),
             phases: Phase::ALL
@@ -685,12 +686,14 @@ mod tests {
         let mut phases = crate::trace::PhaseBreadcrumb::new();
         phases.add(Phase::Service, std::time::Duration::from_millis(5));
         phases.add(Phase::Transfer, std::time::Duration::from_millis(2));
-        agg.record(&crate::trace::TraceRecord {
+        agg.record(&crate::trace::OpRecord {
             issued: azsim_core::SimTime(0),
             completed: azsim_core::SimTime(7_000_000),
             actor: 0,
             class: OpClass::QueuePut,
-            outcome: TraceOutcome::Ok,
+            partition: 0,
+            outcome: OpOutcome::Ok,
+            throttled: false,
             bytes_up: 100,
             bytes_down: 0,
             phases,
@@ -830,5 +833,30 @@ mod tests {
         // Only the phases that saw time appear, in Phase::ALL order.
         assert_eq!(labels, vec!["service", "transfer"]);
         assert_eq!(class.end_to_end.count, 1);
+    }
+
+    #[test]
+    fn phase_snapshots_sum_both_timeout_kinds() {
+        let mut agg = PhaseAggregate::new();
+        for outcome in [
+            OpOutcome::TimedOutLost,
+            OpOutcome::TimedOutExecuted,
+            OpOutcome::Error,
+        ] {
+            agg.record(&crate::trace::OpRecord {
+                issued: azsim_core::SimTime(0),
+                completed: azsim_core::SimTime(1_000),
+                actor: 0,
+                class: OpClass::QueuePut,
+                partition: 0,
+                outcome,
+                throttled: false,
+                bytes_up: 0,
+                bytes_down: 0,
+                phases: crate::trace::PhaseBreadcrumb::new(),
+            });
+        }
+        let outcomes = &phase_snapshots(&agg)[0].outcomes;
+        assert_eq!((outcomes.timed_out, outcomes.failed), (2, 1));
     }
 }

@@ -1,20 +1,22 @@
-//! Per-operation tracing with phase-level span attribution.
+//! The per-operation record and its one recorder.
 //!
-//! When enabled, the cluster records one [`TraceRecord`] per submitted
-//! operation — issue/completion virtual timestamps, class, actor, payload
-//! sizes, outcome — plus a [`PhaseBreadcrumb`]: the operation's end-to-end
-//! latency split across the pipeline stages it crossed (client send,
-//! partition queue wait, service, replica sync, NIC transfer, …). The
-//! breadcrumb segments partition the `[issued, completed]` interval
+//! Every submitted operation ends in one [`OpRecord`]: issue/completion
+//! virtual timestamps, actor, class, interned partition, the full
+//! [`OpOutcome`] (which tells a timeout that never executed from one that
+//! did), payload sizes, and a [`PhaseBreadcrumb`] — the operation's
+//! end-to-end latency split across the pipeline stages it crossed (client
+//! send, partition queue wait, service, replica sync, NIC transfer, …).
+//! The breadcrumb segments partition the `[issued, completed]` interval
 //! exactly, so per-phase sums reconcile with end-to-end latency by
 //! construction.
 //!
-//! Two sinks are available and composable:
-//! - a bounded record buffer ([`Tracer::with_capacity`]) keeping raw
-//!   records for CSV export and debugging, and
-//! - a streaming [`PhaseAggregate`] ([`Tracer::aggregate_only`]) folding
-//!   every record into per-class/per-phase [`Histogram`]s — O(1) memory in
-//!   the number of operations, suitable for full-ladder runs.
+//! The [`Tracer`] has two switches, composable:
+//! - a record buffer ([`Tracer::keep_records`]) whose capacity is the
+//!   largest one requested — bounded for tracing, unbounded for a
+//!   verification history — and
+//! - a streaming [`PhaseAggregate`] ([`Tracer::enable_aggregation`])
+//!   folding every record into per-class/per-phase [`Histogram`]s — O(1)
+//!   memory in the number of operations, suitable for full-ladder runs.
 
 use azsim_core::stats::Histogram;
 use azsim_core::SimTime;
@@ -122,19 +124,67 @@ impl PhaseBreadcrumb {
     }
 }
 
-/// One traced operation.
+/// How one operation ended, from the server's point of view.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpOutcome {
+    /// Executed and acknowledged.
+    Ok,
+    /// Rejected with `ServerBusy`; did not execute.
+    Throttled,
+    /// Rejected with `ServerFault` (crash/blackout window); did not execute.
+    Faulted,
+    /// Executed but returned a semantic error (e.g. `AlreadyExists`,
+    /// `PreconditionFailed`) — state may or may not have changed, but the
+    /// client learned the definite answer.
+    Error,
+    /// Client observed `Timeout`; the operation **never executed**
+    /// (request dropped in flight).
+    TimedOutLost,
+    /// Client observed `Timeout`; the operation **executed** server-side
+    /// (ack lost, or a crash cut an in-flight replicated write).
+    TimedOutExecuted,
+}
+
+impl OpOutcome {
+    /// Number of outcomes.
+    pub const COUNT: usize = 6;
+
+    /// Whether the state transition ran.
+    pub fn executed(self) -> bool {
+        matches!(self, OpOutcome::Ok | OpOutcome::TimedOutExecuted)
+    }
+
+    /// Stable snake_case label used in the exports. Both timeout kinds
+    /// read `timed_out`: the client cannot tell them apart.
+    pub fn label(self) -> &'static str {
+        match self {
+            OpOutcome::Ok => "ok",
+            OpOutcome::Throttled => "throttled",
+            OpOutcome::Faulted => "faulted",
+            OpOutcome::Error => "failed",
+            OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted => "timed_out",
+        }
+    }
+}
+
+/// One submitted operation: how it ended and where its latency went.
 #[derive(Clone, Copy, Debug)]
-pub struct TraceRecord {
+pub struct OpRecord {
     /// Virtual time the request arrived at the cluster.
     pub issued: SimTime,
-    /// Virtual completion time.
+    /// Client-visible completion (for timeouts: when the wait expired).
     pub completed: SimTime,
     /// Issuing role instance.
     pub actor: usize,
     /// Operation class.
     pub class: OpClass,
-    /// Operation outcome.
-    pub outcome: TraceOutcome,
+    /// Interned target partition; `Cluster::partition_key` resolves it.
+    pub partition: u32,
+    /// Server-side outcome.
+    pub outcome: OpOutcome,
+    /// Rejected by a throttle or an injected storm, whatever the client
+    /// then observed.
+    pub throttled: bool,
     /// Payload bytes client → server.
     pub bytes_up: u64,
     /// Payload bytes server → client.
@@ -143,52 +193,7 @@ pub struct TraceRecord {
     pub phases: PhaseBreadcrumb,
 }
 
-/// How a traced operation ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceOutcome {
-    /// Completed successfully.
-    Ok,
-    /// Rejected by a throttle (`ServerBusy`).
-    Throttled,
-    /// Failed with a semantic error.
-    Failed,
-    /// Rejected by an injected server fault (`ServerFault`).
-    Faulted,
-    /// Dropped by fault injection; the client observed a timeout.
-    TimedOut,
-}
-
-impl TraceOutcome {
-    /// Number of outcomes.
-    pub const COUNT: usize = 5;
-
-    /// All outcomes, in display order.
-    pub const ALL: [TraceOutcome; TraceOutcome::COUNT] = [
-        TraceOutcome::Ok,
-        TraceOutcome::Throttled,
-        TraceOutcome::Failed,
-        TraceOutcome::Faulted,
-        TraceOutcome::TimedOut,
-    ];
-
-    /// Dense index (matches `ALL` order).
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case label used in CSV, JSON and Prometheus exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceOutcome::Ok => "ok",
-            TraceOutcome::Throttled => "throttled",
-            TraceOutcome::Failed => "failed",
-            TraceOutcome::Faulted => "faulted",
-            TraceOutcome::TimedOut => "timed_out",
-        }
-    }
-}
-
-impl TraceRecord {
+impl OpRecord {
     /// Operation latency.
     pub fn latency(&self) -> Duration {
         self.completed.saturating_since(self.issued)
@@ -211,7 +216,7 @@ pub struct PhaseAggregate {
 pub struct ClassPhaseStats {
     end_to_end: Histogram,
     phases: [Histogram; Phase::COUNT],
-    outcomes: [u64; TraceOutcome::COUNT],
+    outcomes: [u64; OpOutcome::COUNT],
 }
 
 impl Default for ClassPhaseStats {
@@ -219,7 +224,7 @@ impl Default for ClassPhaseStats {
         ClassPhaseStats {
             end_to_end: Histogram::new(),
             phases: std::array::from_fn(|_| Histogram::new()),
-            outcomes: [0; TraceOutcome::COUNT],
+            outcomes: [0; OpOutcome::COUNT],
         }
     }
 }
@@ -239,8 +244,8 @@ impl ClassPhaseStats {
     }
 
     /// How many records ended with the given outcome.
-    pub fn outcome_count(&self, outcome: TraceOutcome) -> u64 {
-        self.outcomes[outcome.index()]
+    pub fn outcome_count(&self, outcome: OpOutcome) -> u64 {
+        self.outcomes[outcome as usize]
     }
 
     /// Sum of the server-side phase sums (everything except the
@@ -279,12 +284,12 @@ impl PhaseAggregate {
         self.classes[i].get_or_insert_with(Default::default)
     }
 
-    /// Fold one trace record into the aggregate.
-    pub fn record(&mut self, r: &TraceRecord) {
+    /// Fold one record into the aggregate.
+    pub fn record(&mut self, r: &OpRecord) {
         let latency = r.latency().as_secs_f64();
         let stats = self.class_mut(r.class);
         stats.end_to_end.record(latency);
-        stats.outcomes[r.outcome.index()] += 1;
+        stats.outcomes[r.outcome as usize] += 1;
         for (phase, d) in r.phases.iter() {
             if !d.is_zero() {
                 stats.phases[phase.index()].record(d.as_secs_f64());
@@ -340,69 +345,49 @@ impl PhaseAggregate {
     }
 }
 
-/// A trace sink (disabled by default). Combines an optional bounded record
-/// buffer with an optional streaming [`PhaseAggregate`].
+/// The one op recorder: an optional record buffer beside an optional
+/// streaming [`PhaseAggregate`]. Both are off until switched on.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    records: Vec<TraceRecord>,
+    records: Vec<OpRecord>,
     capacity: usize,
     dropped: u64,
     aggregate: Option<Box<PhaseAggregate>>,
 }
 
 impl Tracer {
-    /// A tracer that keeps at most `capacity` records (older operations
-    /// are *not* evicted — the buffer stops recording and counts drops, so
-    /// the retained prefix stays contiguous).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Tracer {
-            records: Vec::new(),
-            capacity,
-            dropped: 0,
-            aggregate: None,
-        }
+    /// Keep at most `capacity` records, or more if a larger capacity was
+    /// already requested. A full buffer is *not* evicted — it stops
+    /// recording and counts drops, so the retained prefix stays
+    /// contiguous.
+    pub fn keep_records(&mut self, capacity: usize) {
+        self.capacity = self.capacity.max(capacity);
     }
 
-    /// A tracer that keeps no records at all and only streams into a
-    /// [`PhaseAggregate`] — O(1) memory per operation, for full-ladder
-    /// profiling runs.
-    pub fn aggregate_only() -> Self {
-        Tracer {
-            records: Vec::new(),
-            capacity: 0,
-            dropped: 0,
-            aggregate: Some(Box::default()),
-        }
-    }
-
-    /// Enable streaming aggregation in addition to whatever record buffer
-    /// is configured.
+    /// Stream every record into a [`PhaseAggregate`] as well.
     pub fn enable_aggregation(&mut self) {
         self.aggregate.get_or_insert_with(Box::default);
     }
 
     /// Record one operation.
-    pub fn record(&mut self, r: TraceRecord) {
+    pub fn record(&mut self, r: OpRecord) {
         if let Some(agg) = &mut self.aggregate {
             agg.record(&r);
         }
-        if self.capacity == 0 {
-            return;
-        }
         if self.records.len() < self.capacity {
             self.records.push(r);
-        } else {
+        } else if self.capacity > 0 {
             self.dropped += 1;
         }
     }
 
     /// The retained records, in completion-processing order.
-    pub fn records(&self) -> &[TraceRecord] {
+    pub fn records(&self) -> &[OpRecord] {
         &self.records
     }
 
-    /// Operations that arrived after the record buffer filled (always 0 in
-    /// aggregate-only mode, where no buffer exists to overflow).
+    /// Operations that arrived after the record buffer filled (always 0
+    /// when no buffer is kept).
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -417,54 +402,27 @@ impl Tracer {
     pub fn phase_stats_mut(&mut self) -> Option<&mut PhaseAggregate> {
         self.aggregate.as_deref_mut()
     }
-
-    /// Render as CSV: one row per retained record, end-to-end fields first,
-    /// then one `<phase>_ms` column per [`Phase`] in display order.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("issued_s,completed_s,latency_ms,actor,class,outcome,bytes_up,bytes_down");
-        for p in Phase::ALL {
-            out.push_str(&format!(",{}_ms", p.label()));
-        }
-        out.push('\n');
-        for r in &self.records {
-            out.push_str(&format!(
-                "{:.9},{:.9},{:.6},{},{},{},{},{}",
-                r.issued.as_secs_f64(),
-                r.completed.as_secs_f64(),
-                r.latency().as_secs_f64() * 1e3,
-                r.actor,
-                r.class.label(),
-                r.outcome.label(),
-                r.bytes_up,
-                r.bytes_down
-            ));
-            for (_, d) in r.phases.iter() {
-                out.push_str(&format!(",{:.6}", d.as_secs_f64() * 1e3));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(t: u64, class: OpClass) -> TraceRecord {
+    fn rec(t: u64, class: OpClass) -> OpRecord {
         let mut phases = PhaseBreadcrumb::new();
         phases.add(Phase::ClientSend, Duration::from_nanos(250_000));
         phases.add(Phase::QueueWait, Duration::from_nanos(100_000));
         phases.add(Phase::Service, Duration::from_nanos(400_000));
         phases.add(Phase::ReplicaSync, Duration::from_nanos(150_000));
         phases.add(Phase::Transfer, Duration::from_nanos(100_000));
-        TraceRecord {
+        OpRecord {
             issued: SimTime(t),
             completed: SimTime(t + 1_000_000),
             actor: 0,
             class,
-            outcome: TraceOutcome::Ok,
+            partition: 0,
+            outcome: OpOutcome::Ok,
+            throttled: false,
             bytes_up: 10,
             bytes_down: 20,
             phases,
@@ -473,7 +431,9 @@ mod tests {
 
     #[test]
     fn capacity_bounds_recording() {
-        let mut t = Tracer::with_capacity(2);
+        let mut t = Tracer::default();
+        t.keep_records(2);
+        t.keep_records(1); // the largest capacity requested wins
         for i in 0..5 {
             t.record(rec(i, OpClass::QueuePut));
         }
@@ -496,27 +456,27 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let mut t = Tracer::with_capacity(10);
-        t.record(rec(0, OpClass::QueuePut));
-        t.record(rec(1, OpClass::BlobDownload));
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("issued_s,"));
-        for p in Phase::ALL {
-            assert!(lines[0].contains(&format!("{}_ms", p.label())), "{p:?}");
-        }
-        assert!(lines[1].contains("queue.put"));
-        assert!(lines[2].contains("blob.download"));
-        assert!(lines[1].contains(",ok,"));
-        // Service phase of 0.4 ms appears as a fractional-ms column.
-        assert!(lines[1].contains("0.400000"));
+    fn outcome_classification() {
+        assert!(OpOutcome::TimedOutExecuted.executed());
+        assert!(!OpOutcome::TimedOutLost.executed());
+        assert!(OpOutcome::Ok.executed());
+        assert!(!OpOutcome::Faulted.executed());
+        assert_eq!(OpOutcome::Error.label(), "failed");
+        assert_eq!(OpOutcome::TimedOutLost.label(), "timed_out");
+        assert_eq!(OpOutcome::TimedOutExecuted.label(), "timed_out");
+    }
+
+    #[test]
+    fn record_stays_small_and_plain() {
+        // Copy, no heap: the unbounded history of a verification run costs
+        // one fixed-size record per op.
+        assert!(std::mem::size_of::<OpRecord>() <= 104);
     }
 
     #[test]
     fn aggregate_only_keeps_no_records() {
-        let mut t = Tracer::aggregate_only();
+        let mut t = Tracer::default();
+        t.enable_aggregation();
         for i in 0..100 {
             t.record(rec(i, OpClass::QueuePut));
         }
@@ -526,7 +486,7 @@ mod tests {
         assert_eq!(agg.total_records(), 100);
         let stats = agg.class(OpClass::QueuePut).unwrap();
         assert_eq!(stats.end_to_end().count(), 100);
-        assert_eq!(stats.outcome_count(TraceOutcome::Ok), 100);
+        assert_eq!(stats.outcome_count(OpOutcome::Ok), 100);
         assert_eq!(stats.phase(Phase::Service).count(), 100);
         // Per-phase sums reconcile with end-to-end sums exactly here: every
         // breadcrumb partitions its record's latency.
@@ -554,7 +514,7 @@ mod tests {
             whole.class(OpClass::BlobUploadSingle).unwrap(),
         );
         assert_eq!(ac.end_to_end().quantile(0.5), wc.end_to_end().quantile(0.5));
-        assert_eq!(ac.outcome_count(TraceOutcome::Ok), 50);
+        assert_eq!(ac.outcome_count(OpOutcome::Ok), 50);
     }
 
     #[test]

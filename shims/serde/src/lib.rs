@@ -93,9 +93,15 @@ pub mod value {
         obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
+    /// How deeply arrays and objects may nest (serde_json's default): a
+    /// deeper document is an error, not a stack overflow.
+    const MAX_DEPTH: usize = 128;
+
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects open around `pos`.
+        depth: usize,
     }
 
     impl<'a> Parser<'a> {
@@ -133,11 +139,24 @@ pub mod value {
                 Some(b't') => self.keyword("true", Value::Bool(true)),
                 Some(b'f') => self.keyword("false", Value::Bool(false)),
                 Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-                Some(b'[') => self.parse_array(),
-                Some(b'{') => self.parse_object(),
+                Some(b'[') => self.nested(Self::parse_array),
+                Some(b'{') => self.nested(Self::parse_object),
                 Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
                 _ => Err(self.err("unexpected token")),
             }
+        }
+
+        fn nested(
+            &mut self,
+            parse: fn(&mut Self) -> Result<Value, DeError>,
+        ) -> Result<Value, DeError> {
+            if self.depth == MAX_DEPTH {
+                return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+            }
+            self.depth += 1;
+            let v = parse(self);
+            self.depth -= 1;
+            v
         }
 
         fn keyword(&mut self, kw: &str, v: Value) -> Result<Value, DeError> {
@@ -204,16 +223,15 @@ pub mod value {
                                 let ch = if (0xD800..0xDC00).contains(&cp) {
                                     let rest = &self.bytes[self.pos + 5..];
                                     if rest.starts_with(b"\\u") {
-                                        let hex2 = rest
+                                        let lo = rest
                                             .get(2..6)
                                             .and_then(|h| std::str::from_utf8(h).ok())
-                                            .ok_or_else(|| self.err("bad surrogate"))?;
-                                        let lo = u32::from_str_radix(hex2, 16)
-                                            .map_err(|_| self.err("bad surrogate"))?;
+                                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                            .filter(|lo| (0xDC00..=0xDFFF).contains(lo))
+                                            .ok_or_else(|| self.err("bad surrogate pair"))?;
                                         self.pos += 6;
                                         let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                        char::from_u32(c)
-                                            .ok_or_else(|| self.err("bad surrogate pair"))?
+                                        char::from_u32(c).expect("a surrogate pair is a scalar")
                                     } else {
                                         return Err(self.err("lone surrogate"));
                                     }
@@ -228,12 +246,22 @@ pub mod value {
                         self.pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| self.err("non-utf8 string"))?;
-                        let ch = rest.chars().next().unwrap();
-                        out.push(ch);
-                        self.pos += ch.len_utf8();
+                        // Consume the run up to the next quote or escape,
+                        // validated once: neither byte occurs inside a
+                        // multi-byte UTF-8 sequence.
+                        let rest = &self.bytes[self.pos..];
+                        let run = rest
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .unwrap_or(rest.len());
+                        match std::str::from_utf8(&rest[..run]) {
+                            Ok(s) => out.push_str(s),
+                            Err(e) => {
+                                self.pos += e.valid_up_to();
+                                return Err(self.err("non-utf8 string"));
+                            }
+                        }
+                        self.pos += run;
                     }
                 }
             }
@@ -298,6 +326,7 @@ pub mod value {
         let mut p = Parser {
             bytes: input,
             pos: 0,
+            depth: 0,
         };
         let v = p.parse_value()?;
         p.skip_ws();
@@ -624,5 +653,30 @@ mod tests {
         assert!(value::parse(b"{\"a\":}").is_err());
         assert!(value::parse(b"[1,2").is_err());
         assert!(value::parse(b"12 34").is_err());
+        // A high surrogate must pair with a low one, not any escape.
+        assert!(value::parse(br#""\uD800\u0041""#).is_err());
+        assert!(value::parse(br#""\uD800\uE000""#).is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode() {
+        let v = value::parse(br#""\uD83D\uDE00""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1F600}"));
+    }
+
+    #[test]
+    fn nesting_is_limited_to_128_levels() {
+        let doc = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(value::parse(doc(128).as_bytes()).is_ok());
+        let e = value::parse(doc(129).as_bytes()).unwrap_err();
+        assert_eq!(e.0, "nesting deeper than 128 at byte 128");
+        assert!(value::parse("[".repeat(100_000).as_bytes()).is_err());
+        assert!(value::parse("{\"a\":".repeat(100_000).as_bytes()).is_err());
+    }
+
+    #[test]
+    fn non_utf8_error_names_the_offending_byte() {
+        let e = value::parse(b"[\"\xC3\xA9\",\"\xFF\"]").unwrap_err();
+        assert_eq!(e.0, "non-utf8 string at byte 7");
     }
 }

@@ -1,7 +1,8 @@
-//! The command-line contract of the `figures` and `ycsb` binaries, checked
-//! on the real executables: bad input is a message on stderr and exit 2 —
-//! never a silent success, never a panic. Also the build contract of the
-//! manifests: every declared dependency is used, and so is every shim.
+//! The command-line contract of the `figures`, `ycsb` and `export_check`
+//! binaries, checked on the real executables: bad input is a message on
+//! stderr and exit 2 — never a silent success, never a panic. Also the
+//! build contract of the manifests: every declared dependency is used, and
+//! so is every shim.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -9,6 +10,7 @@ use std::process::Command;
 
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
 const YCSB: &str = env!("CARGO_BIN_EXE_ycsb");
+const EXPORT_CHECK: &str = env!("CARGO_BIN_EXE_export_check");
 
 /// Run `bin args`, returning its exit code and stderr.
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
@@ -102,6 +104,21 @@ fn ycsb_rejects_zero_workers() {
         stderr.contains("error: --workers must be at least 1"),
         "{stderr}"
     );
+}
+
+#[test]
+fn export_check_rejects_a_hostile_document() {
+    let doc = fresh("deep.json");
+    std::fs::write(&doc, "[".repeat(100_000)).unwrap();
+    let schema = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../schemas/timeline.schema.json"
+    );
+    let (code, stderr) = run(EXPORT_CHECK, &[doc.to_str().unwrap(), schema]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("error:"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+    std::fs::remove_file(doc).unwrap();
 }
 
 #[test]

@@ -16,8 +16,8 @@
 use azsim_client::{Environment, QueueClient, ResilientPolicy, RetrySpan, VirtualEnv};
 use azsim_core::{SimTime, Simulation};
 use azsim_fabric::{
-    BusyStorm, Cluster, ClusterParams, FaultPlan, Phase, PhaseAggregate, ServerCrash, TraceOutcome,
-    TraceRecord,
+    BusyStorm, Cluster, ClusterParams, FaultPlan, OpOutcome, OpRecord, Phase, PhaseAggregate,
+    ServerCrash,
 };
 use azsim_storage::PartitionKey;
 use azurebench::profile::run_profile;
@@ -54,9 +54,9 @@ fn chaos_plan(params: &ClusterParams) -> FaultPlan {
     }
 }
 
-/// Drive the chaos workload with tracing on; return the trace records and
+/// Drive the chaos workload with tracing on; return the op records and
 /// each worker's `(retry spans, policy retry counter)`.
-fn run_chaos_traced(seed: u64) -> (Vec<TraceRecord>, Vec<(Vec<RetrySpan>, u64)>) {
+fn run_chaos_traced(seed: u64) -> (Vec<OpRecord>, Vec<(Vec<RetrySpan>, u64)>) {
     let params = ClusterParams::default();
     let plan = chaos_plan(&params);
     let mut cluster = Cluster::new(params);
@@ -93,9 +93,9 @@ fn breadcrumbs_partition_latency_exactly_for_every_outcome() {
     let (records, _) = run_chaos_traced(2012);
     assert!(!records.is_empty());
 
-    let mut seen = [false; TraceOutcome::COUNT];
+    let mut seen = [false; OpOutcome::COUNT];
     for r in &records {
-        seen[r.outcome.index()] = true;
+        seen[r.outcome as usize] = true;
         // The partition invariant: phases sum to the record's latency with
         // no rounding gap at all (integer-nanosecond virtual time).
         assert_eq!(
@@ -106,7 +106,7 @@ fn breadcrumbs_partition_latency_exactly_for_every_outcome() {
             r.outcome
         );
         match r.outcome {
-            TraceOutcome::Ok | TraceOutcome::Failed => {
+            OpOutcome::Ok | OpOutcome::Error => {
                 assert_eq!(
                     r.phases.get(Phase::Rejection),
                     Duration::ZERO,
@@ -117,7 +117,10 @@ fn breadcrumbs_partition_latency_exactly_for_every_outcome() {
                     "served ops must record service time"
                 );
             }
-            TraceOutcome::Throttled | TraceOutcome::Faulted | TraceOutcome::TimedOut => {
+            OpOutcome::Throttled
+            | OpOutcome::Faulted
+            | OpOutcome::TimedOutLost
+            | OpOutcome::TimedOutExecuted => {
                 assert!(
                     r.phases.get(Phase::Rejection) > Duration::ZERO,
                     "{:?} record must carry the rejection breadcrumb",
@@ -144,12 +147,12 @@ fn breadcrumbs_partition_latency_exactly_for_every_outcome() {
     }
     // The plan must actually have produced the interesting outcomes.
     for outcome in [
-        TraceOutcome::Ok,
-        TraceOutcome::Throttled,
-        TraceOutcome::Faulted,
-        TraceOutcome::TimedOut,
+        OpOutcome::Ok,
+        OpOutcome::Throttled,
+        OpOutcome::Faulted,
+        OpOutcome::TimedOutLost,
     ] {
-        assert!(seen[outcome.index()], "no {outcome:?} record in trace");
+        assert!(seen[outcome as usize], "no {outcome:?} record in trace");
     }
 }
 
@@ -230,11 +233,7 @@ fn timeline_counters_reconcile_with_trace_records() {
         "submitted deltas must sum to the traced operation count"
     );
     let throttled = delta_sum("ops.throttled");
-    let throttled_records = report
-        .records()
-        .iter()
-        .filter(|r| r.outcome == TraceOutcome::Throttled)
-        .count();
+    let throttled_records = report.records().iter().filter(|r| r.throttled).count();
     assert_eq!(throttled as usize, throttled_records);
 }
 
