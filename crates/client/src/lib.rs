@@ -13,16 +13,12 @@
 //! * [`live::LiveEnv`] runs against the very same [`azsim_fabric::Cluster`]
 //!   in real (optionally time-scaled) wall-clock time — its futures are
 //!   already complete when returned, so drive them with
-//!   [`azsim_core::block_on`] (the mode the interactive examples use);
-//! * [`file::FileEnv`] runs against an actual filesystem directory — the
-//!   `file://` live backend that validates the client stack against a
-//!   real storage medium instead of the simulated cluster.
+//!   [`azsim_core::block_on`] (the mode the interactive examples use).
 
 #![forbid(unsafe_code)]
 
 pub mod blob;
 pub mod env;
-pub mod file;
 pub mod idempotent;
 pub mod live;
 pub mod queue;
@@ -32,7 +28,6 @@ pub mod table;
 
 pub use blob::BlobClient;
 pub use env::{Environment, FleetEnv, VirtualEnv};
-pub use file::{FileEnv, FileStore};
 pub use idempotent::{insert_idempotent, update_idempotent, OP_MARKER};
 pub use live::{LiveCluster, LiveEnv};
 pub use queue::QueueClient;

@@ -23,7 +23,10 @@
 //!      never loses a write, and is monotonic once visible;
 //!    * the `figures verify` safety invariants (no acked write lost,
 //!      idempotent RMW, poison accounting, read-your-writes at the
-//!      declared consistency level) hold under an inert plan.
+//!      declared consistency level) hold under an inert plan;
+//!    * a reduced Algorithm 1 + 3 round trip (staged upload, whole and
+//!      per-block download, listing, queue produce and drain, missing
+//!      resources) returns exactly what the payload function predicts.
 //!
 //! 2. **Differential oracle** ([`history_fingerprint`],
 //!    [`divergent_pairs`]): every backend runs one shared divergence
@@ -43,7 +46,9 @@
 use crate::verify::{run_verify, VerifyConfig};
 use azsim_core::SimTime;
 use azsim_fabric::{BackendKind, Cluster, ClusterParams, FaultPlan, ThrottleShape};
-use azsim_storage::{Entity, EtagCondition, PropValue, StorageError, StorageOk, StorageRequest};
+use azsim_storage::{
+    Entity, EtagCondition, PropValue, StorageError, StorageOk, StorageRequest, StorageResult,
+};
 use bytes::Bytes;
 use std::time::Duration;
 
@@ -74,6 +79,7 @@ pub const CHECKS: &[Check] = &[
     ("object-update-limit", check_object_update),
     ("list-after-write-visibility", check_visibility),
     ("verify-invariants", check_verify_invariants),
+    ("round-trip", check_round_trip),
 ];
 
 /// Run the whole suite against one backend.
@@ -430,6 +436,157 @@ fn check_verify_invariants(kind: BackendKind) -> Result<(), String> {
             out.violations
         ))
     }
+}
+
+// ---------------------------------------------------------------------------
+// Check 5 — Algorithm 1 + 3 round trip.
+// ---------------------------------------------------------------------------
+
+const RT_BLOCKS: usize = 4;
+const RT_BLOCK_SIZE: usize = 2 * 1024;
+const RT_MESSAGES: usize = 20;
+
+/// `len` copies of one byte chosen by (worker, unit): every answer the
+/// round trip expects is computed from this.
+fn payload(worker: usize, unit: usize, len: usize) -> Bytes {
+    Bytes::from(vec![((worker * 131 + unit * 31) % 251) as u8; len])
+}
+
+/// One client's requests back to back: each is submitted when the previous
+/// one completed, and a throttled one again after its hint, as the SDK's
+/// retry policy does (for at most ten virtual minutes).
+struct Session {
+    c: Cluster,
+    now: SimTime,
+}
+
+impl Session {
+    /// The answer to `req` (`None` for an error), or the check's failure
+    /// if `ok` rejects it.
+    fn check(
+        &mut self,
+        actor: usize,
+        req: &StorageRequest,
+        ok: impl Fn(&StorageResult<StorageOk>) -> bool,
+    ) -> Result<Option<StorageOk>, String> {
+        loop {
+            let (done, r) = self.c.submit(self.now, actor, req);
+            self.now = done;
+            match r {
+                Err(
+                    StorageError::ServerBusy { retry_after }
+                    | StorageError::SlowDown { retry_after },
+                ) if done < at(600_000) => self.now += retry_after,
+                r if ok(&r) => return Ok(r.ok()),
+                r => return Err(format!("{:?} answered {r:.80?}", req.class())),
+            }
+        }
+    }
+}
+
+/// Per worker: stage four blocks, commit, download the blob whole and
+/// block 2, list the container; put 20 messages on a fresh queue, drain
+/// them with get + delete, read the count. Then address a missing
+/// container, blob and queue. Every answer is computed from [`payload`];
+/// drained payloads compare as a multiset, because delivery order is not a
+/// declared guarantee.
+fn check_round_trip(kind: BackendKind) -> Result<(), String> {
+    use {StorageError as E, StorageOk as O, StorageRequest as R};
+    let mut s = Session {
+        c: cluster(kind),
+        now: at(0),
+    };
+    let download = |container: &str, blob: &str| R::DownloadBlob {
+        container: container.into(),
+        blob: blob.into(),
+    };
+    for w in 0..2 {
+        let cn = format!("alg1-{w}");
+        let bn = format!("data-{w}");
+        let qn = format!("alg3-{w}");
+        let ids: Vec<String> = (0..RT_BLOCKS).map(|i| format!("blk-{i}")).collect();
+        let mut writes = vec![R::CreateContainer {
+            container: cn.clone(),
+        }];
+        writes.extend(ids.iter().enumerate().map(|(i, id)| R::PutBlock {
+            container: cn.clone(),
+            blob: bn.clone(),
+            block_id: id.clone(),
+            data: payload(w, i, RT_BLOCK_SIZE),
+        }));
+        writes.push(R::PutBlockList {
+            container: cn.clone(),
+            blob: bn.clone(),
+            block_ids: ids,
+        });
+        for req in &writes {
+            s.check(w, req, Result::is_ok)?;
+        }
+        let whole: Vec<u8> = (0..RT_BLOCKS)
+            .flat_map(|i| payload(w, i, RT_BLOCK_SIZE).to_vec())
+            .collect();
+        let block = R::GetBlock {
+            container: cn.clone(),
+            blob: bn.clone(),
+            index: 2,
+        };
+        let block_2 = &whole[2 * RT_BLOCK_SIZE..3 * RT_BLOCK_SIZE];
+        for (req, want) in [(download(&cn, &bn), &whole[..]), (block, block_2)] {
+            s.check(w, &req, |r| matches!(r, Ok(O::Data(d)) if d[..] == *want))?;
+        }
+        s.now += kind.profile().list_visibility_window.unwrap_or_default();
+        let (list, listed) = (R::ListBlobs { container: cn }, vec![bn]);
+        s.check(w, &list, |r| matches!(r, Ok(O::Names(n)) if *n == listed))?;
+
+        let mut writes = vec![R::CreateQueue { queue: qn.clone() }];
+        writes.extend((0..RT_MESSAGES).map(|i| R::PutMessage {
+            queue: qn.clone(),
+            data: payload(w, i, 64),
+            ttl: None,
+        }));
+        for req in &writes {
+            s.check(w, req, Result::is_ok)?;
+        }
+        let get = R::GetMessage {
+            queue: qn.clone(),
+            visibility_timeout: Duration::from_secs(30),
+        };
+        let mut drained = Vec::new();
+        while let Some(O::Message(Some(m))) = s.check(w, &get, Result::is_ok)? {
+            let delete = R::DeleteMessage {
+                queue: qn.clone(),
+                id: m.id,
+                pop_receipt: m.pop_receipt,
+            };
+            s.check(w, &delete, Result::is_ok)?;
+            drained.push(m.data);
+            if drained.len() > RT_MESSAGES {
+                break;
+            }
+        }
+        let mut want: Vec<Bytes> = (0..RT_MESSAGES).map(|i| payload(w, i, 64)).collect();
+        drained.sort();
+        want.sort();
+        if drained != want {
+            return Err(format!("drained payloads are not the {RT_MESSAGES} put"));
+        }
+        let count = R::GetMessageCount { queue: qn };
+        s.check(w, &count, |r| matches!(r, Ok(O::Count(0))))?;
+    }
+
+    let ghost_q = R::GetMessageCount {
+        queue: "ghost-q".into(),
+    };
+    let missing = [
+        (download("ghost", "b"), "ghost"),
+        (download("alg1-0", "gone"), "gone"),
+        (ghost_q, "ghost-q"),
+    ];
+    let errors: [fn(String) -> E; 3] = [E::ContainerNotFound, E::BlobNotFound, E::QueueNotFound];
+    for ((req, name), error) in missing.into_iter().zip(errors) {
+        s.check(0, &req, |r| r.as_ref().err() == Some(&error(name.into())))?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

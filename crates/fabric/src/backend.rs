@@ -40,8 +40,7 @@ pub enum BackendKind {
     /// pushback, no per-partition caps.
     Gcs,
     /// `file://` — a local-filesystem backend with no service limits at
-    /// all; the simulated profile mirrors the live tempdir implementation
-    /// in `azsim-client`.
+    /// all: no caps, no throttling, synchronous listings.
     File,
 }
 

@@ -752,7 +752,7 @@ impl Cluster {
                 .queues
                 .approximate_count(now, queue)
                 .map(StorageOk::Count),
-            ClearQueue { queue } => self.queues.clear(queue).map(StorageOk::Count),
+            ClearQueue { queue } => self.queues.clear(now, queue).map(StorageOk::Count),
             CreateTable { table } => self.tables.create_table(table).map(|_| StorageOk::Ack),
             DeleteTable { table } => self.tables.delete_table(table).map(|_| StorageOk::Ack),
             InsertEntity { table, entity } => self

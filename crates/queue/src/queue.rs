@@ -212,9 +212,9 @@ impl SimQueue {
     }
 
     /// Remove every message (the REST `Clear Messages` operation). Returns
-    /// the number of messages dropped.
-    pub fn clear(&mut self) -> usize {
-        let n = self.messages.len();
+    /// the number of unexpired messages dropped.
+    pub fn clear(&mut self, now: SimTime) -> usize {
+        let n = self.approximate_count(now);
         self.messages.clear();
         self.ready.clear();
         self.parked.clear();
@@ -454,6 +454,156 @@ mod tests {
         let b = queue.get(t0, VIS).unwrap();
         assert_eq!(a.id, b.id);
         assert_eq!(b.dequeue_count, 2);
+    }
+
+    /// A naive reference model of one queue: every message in a `Vec` in
+    /// put (id) order, held until deleted or cleared; visibility and expiry
+    /// are decided by a scan at each instant.
+    struct Model(Vec<ModelMsg>);
+
+    struct ModelMsg {
+        seen: AuditedMessage,
+        expiry: SimTime,
+        next_visible: SimTime,
+        receipt: Option<PopReceipt>,
+    }
+
+    impl Model {
+        fn live(&self, now: SimTime) -> impl Iterator<Item = &ModelMsg> {
+            self.0.iter().filter(move |m| m.expiry > now)
+        }
+
+        fn visible(&self, now: SimTime) -> impl Iterator<Item = &ModelMsg> {
+            self.live(now).filter(move |m| m.next_visible <= now)
+        }
+    }
+
+    /// Drive `SimQueue` and the model with one op sequence over an
+    /// advancing clock, comparing every answer.
+    fn check_against_model(
+        fuzz: f64,
+        ops: &[(u8, u8, u8)],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::{prop_assert, prop_assert_eq};
+        let mut queue = SimQueue::new(5, fuzz);
+        let mut model = Model(Vec::new());
+        let mut receipts: Vec<(MessageId, PopReceipt)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for (step, &(op, a, b)) in ops.iter().enumerate() {
+            let front = model.visible(now).next().map(|m| m.seen.id);
+            // Exact FIFO is pinned only while no visible message has been
+            // delivered before: the order after a reappearance is not a
+            // declared guarantee.
+            let pinned = model.visible(now).all(|m| m.seen.dequeue_count == 0);
+            match op {
+                0 => now += Duration::from_millis(250 * u64::from(a)),
+                1 | 2 => {
+                    let data = Bytes::from(step.to_string());
+                    let ttl = [None, Some(2), Some(10), Some(45)][usize::from(b)];
+                    let ttl = ttl.map(Duration::from_secs);
+                    let id = queue.put(now, data.clone(), ttl).unwrap();
+                    let seen = AuditedMessage {
+                        id,
+                        data,
+                        dequeue_count: 0,
+                    };
+                    model.0.push(ModelMsg {
+                        seen,
+                        expiry: now + ttl.unwrap_or(Duration::from_secs(MESSAGE_TTL_SECS)),
+                        next_visible: now,
+                        receipt: None,
+                    });
+                }
+                3 => {
+                    let vis = Duration::from_secs([0, 1, 5, 30][usize::from(b)]);
+                    let Some(got) = queue.get(now, vis) else {
+                        prop_assert!(front.is_none(), "get: None while {front:?} is visible");
+                        continue;
+                    };
+                    if fuzz == 0.0 && pinned {
+                        prop_assert_eq!(Some(got.id), front, "get: {:?}, front {front:?}", got.id);
+                    }
+                    let held = model
+                        .0
+                        .iter_mut()
+                        .find(|m| m.seen.id == got.id && m.expiry > now && m.next_visible <= now);
+                    prop_assert!(held.is_some(), "get: {:?} is not visible", got.id);
+                    let m = held.unwrap();
+                    m.seen.dequeue_count += 1;
+                    prop_assert_eq!(
+                        (&got.data, got.dequeue_count),
+                        (&m.seen.data, m.seen.dequeue_count)
+                    );
+                    prop_assert_eq!(got.next_visible, now + vis);
+                    m.next_visible = now + vis;
+                    m.receipt = Some(got.pop_receipt);
+                    receipts.push((got.id, got.pop_receipt));
+                }
+                4 => {
+                    // Peek changes no message and no delivery counter; the
+                    // reappearance counter is updated lazily by whichever
+                    // call notices the reappearance first.
+                    let state = |q: &SimQueue| {
+                        (q.audit(now), q.counters().0, q.counters().1, q.counters().2)
+                    };
+                    let before = state(&queue);
+                    let peeked = queue.peek(now);
+                    prop_assert_eq!(state(&queue), before);
+                    prop_assert_eq!(peeked.is_some(), front.is_some());
+                    if let Some(p) = peeked {
+                        if pinned {
+                            prop_assert_eq!(Some(p.id), front, "peek: {:?}, front {front:?}", p.id);
+                        }
+                        let seen = AuditedMessage {
+                            id: p.id,
+                            data: p.data,
+                            dequeue_count: p.dequeue_count,
+                        };
+                        prop_assert!(model.visible(now).any(|m| m.seen == seen), "peek: {seen:?}");
+                    }
+                }
+                5 if !receipts.is_empty() => {
+                    let (id, receipt) = receipts[usize::from(a) % receipts.len()];
+                    let r = queue.delete(id, receipt);
+                    match model.0.iter().position(|m| m.seen.id == id) {
+                        // `SimQueue::delete` takes no clock, so a message
+                        // whose TTL ran out since its last purge still
+                        // answers to its receipt.
+                        Some(i) if model.0[i].expiry <= now => {
+                            if r.is_ok() {
+                                model.0.remove(i);
+                            }
+                        }
+                        Some(i) if model.0[i].receipt == Some(receipt) => {
+                            prop_assert_eq!(r, Ok(()));
+                            model.0.remove(i);
+                        }
+                        _ => prop_assert_eq!(r, Err(StorageError::PopReceiptMismatch)),
+                    }
+                }
+                6 if a < 32 => {
+                    prop_assert_eq!(queue.clear(now), model.live(now).count());
+                    model.0.clear();
+                }
+                _ => prop_assert_eq!(queue.approximate_count(now), model.live(now).count()),
+            }
+            let held: Vec<AuditedMessage> = model.live(now).map(|m| m.seen.clone()).collect();
+            prop_assert_eq!(queue.audit(now), held);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Random op sequences over an advancing clock agree with the
+        /// reference model, with strict and with fuzzed FIFO.
+        #[test]
+        fn prop_matches_reference_model(
+            ops in proptest::collection::vec((0u8..8, 0u8..=255, 0u8..4), 1..150)
+        ) {
+            for fuzz in [0.0, 0.5] {
+                check_against_model(fuzz, &ops)?;
+            }
+        }
     }
 
     proptest::proptest! {

@@ -105,8 +105,8 @@ impl QueueStore {
     }
 
     /// Remove every message from a queue.
-    pub fn clear(&mut self, name: &str) -> StorageResult<usize> {
-        Ok(self.queue_mut(name)?.clear())
+    pub fn clear(&mut self, now: SimTime, name: &str) -> StorageResult<usize> {
+        Ok(self.queue_mut(name)?.clear(now))
     }
 
     /// Number of queues in the account.

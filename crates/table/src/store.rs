@@ -176,8 +176,10 @@ impl TableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchOp;
     use azsim_storage::PropValue;
     use bytes::Bytes;
+    use std::collections::btree_map::Entry;
 
     fn store() -> TableStore {
         let mut s = TableStore::new();
@@ -354,60 +356,131 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// CRUD sequences agree with a HashMap reference model.
+        /// CRUD, ETag-conditional updates, partition scans and batches
+        /// agree with a sorted-map reference model.
         #[test]
         fn prop_matches_reference(
-            ops in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4, 0i64..100), 1..200)
+            ops in proptest::collection::vec((0u8..6, 0u8..4, 0usize..4, 0i64..100), 1..200)
         ) {
+            use proptest::{prop_assert, prop_assert_eq};
             let mut s = store();
-            let mut reference: std::collections::HashMap<(String, String), i64> =
-                std::collections::HashMap::new();
-            for (op, pk, rk, val) in ops {
-                let pk = format!("p{pk}");
-                let rk = format!("r{rk}");
+            // The model: `(partition, row) → (value, current tag)`, the
+            // tags being the ones the store handed out.
+            let mut reference: BTreeMap<(String, String), (i64, ETag)> = BTreeMap::new();
+            let mut issued: Vec<ETag> = Vec::new();
+            for (op, pn, rn, val) in ops {
+                let pk = format!("p{pn}");
+                let rk = format!("r{rn}");
                 let key = (pk.clone(), rk.clone());
                 let e = Entity::new(&pk, &rk).with("v", PropValue::I64(val));
                 match op {
                     0 => {
                         let r = s.insert("t", e);
-                        if let std::collections::hash_map::Entry::Vacant(e) = reference.entry(key) {
-                            proptest::prop_assert!(r.is_ok());
-                            e.insert(val);
+                        if let Entry::Vacant(slot) = reference.entry(key) {
+                            prop_assert!(r.is_ok());
+                            let tag = r.unwrap();
+                            issued.push(tag);
+                            slot.insert((val, tag));
                         } else {
-                            proptest::prop_assert_eq!(r, Err(StorageError::AlreadyExists));
+                            prop_assert_eq!(r, Err(StorageError::AlreadyExists));
                         }
                     }
-                    1 => {
-                        let r = s.update("t", e, EtagCondition::Any);
-                        if let std::collections::hash_map::Entry::Occupied(mut e) = reference.entry(key) {
-                            proptest::prop_assert!(r.is_ok());
-                            e.insert(val);
-                        } else {
-                            proptest::prop_assert_eq!(r, Err(StorageError::EntityNotFound));
+                    1 | 4 => {
+                        // Op 4 is conditional: on the current tag half the
+                        // time, else on an earlier tag (stale unless it
+                        // happens to be the current one).
+                        let current = reference.get(&key).map(|&(_, t)| t);
+                        let condition = match current {
+                            _ if op == 1 => EtagCondition::Any,
+                            Some(t) if val % 2 == 0 => EtagCondition::Match(t),
+                            _ => EtagCondition::Match(
+                                issued.get(val as usize % issued.len().max(1)).copied().unwrap_or(ETag(0)),
+                            ),
+                        };
+                        let r = s.update("t", e, condition);
+                        match current {
+                            None => prop_assert_eq!(r, Err(StorageError::EntityNotFound)),
+                            Some(t) if !condition.admits(t) => {
+                                prop_assert_eq!(r, Err(StorageError::PreconditionFailed))
+                            }
+                            Some(_) => {
+                                prop_assert!(r.is_ok());
+                                let tag = r.unwrap();
+                                issued.push(tag);
+                                reference.insert(key, (val, tag));
+                            }
                         }
                     }
                     2 => {
                         let r = s.delete("t", &pk, &rk, EtagCondition::Any);
                         if reference.remove(&key).is_some() {
-                            proptest::prop_assert!(r.is_ok());
+                            prop_assert!(r.is_ok());
                         } else {
-                            proptest::prop_assert_eq!(r, Err(StorageError::EntityNotFound));
+                            prop_assert_eq!(r, Err(StorageError::EntityNotFound));
                         }
                     }
-                    _ => {
+                    3 => {
                         let got = s.query("t", &pk, &rk).unwrap();
-                        match reference.get(&key) {
-                            Some(&v) => {
-                                let (e, _) = got.unwrap();
-                                proptest::prop_assert_eq!(
-                                    e.properties["v"].clone(), PropValue::I64(v));
+                        let got = got.map(|(e, t)| (e.properties["v"].clone(), t));
+                        let want = reference.get(&key).map(|&(v, t)| (PropValue::I64(v), t));
+                        prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        // One to three ops on distinct rows of one
+                        // partition: all apply, or a failing op leaves the
+                        // store and the model unchanged.
+                        let batch: Vec<BatchOp> = (0..1 + val as usize % 3)
+                            .map(|j| {
+                                let row = format!("r{}", (rn + j) % 4);
+                                let e = Entity::new(&pk, &row).with("v", PropValue::I64(val));
+                                match (val as usize / 3 + j) % 3 {
+                                    0 => BatchOp::Insert(e),
+                                    1 => BatchOp::Update(e, EtagCondition::Any),
+                                    _ => BatchOp::Delete { row, condition: EtagCondition::Any },
+                                }
+                            })
+                            .collect();
+                        let r = s.execute_batch("t", &pk, &batch);
+                        // Rows are distinct, so each op's precondition is
+                        // read from the state before the batch.
+                        let held = |row: &str| reference.contains_key(&(pk.clone(), row.to_owned()));
+                        let refused = batch.iter().find_map(|op| match op {
+                            BatchOp::Insert(e) if held(&e.row_key) => Some(StorageError::AlreadyExists),
+                            BatchOp::Update(e, _) if !held(&e.row_key) => Some(StorageError::EntityNotFound),
+                            BatchOp::Delete { row, .. } if !held(row) => Some(StorageError::EntityNotFound),
+                            _ => None,
+                        });
+                        prop_assert_eq!(r.as_ref().err(), refused.as_ref());
+                        for (op, tag) in batch.iter().zip(r.unwrap_or_default()) {
+                            match (op, tag) {
+                                (BatchOp::Insert(e) | BatchOp::Update(e, _), Some(tag)) => {
+                                    issued.push(tag);
+                                    reference.insert((pk.clone(), e.row_key.clone()), (val, tag));
+                                }
+                                (BatchOp::Delete { row, .. }, None) => {
+                                    reference.remove(&(pk.clone(), row.clone()));
+                                }
+                                (op, tag) => prop_assert!(false, "{op:?} answered {tag:?}"),
                             }
-                            None => proptest::prop_assert!(got.is_none()),
                         }
                     }
                 }
+                // The partition scan is the model's sorted range, tags
+                // included.
+                let scan: Vec<(String, PropValue, ETag)> = s
+                    .query_partition("t", &pk)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(e, t)| (e.row_key, e.properties["v"].clone(), t))
+                    .collect();
+                let want: Vec<(String, PropValue, ETag)> = reference
+                    .range((pk.clone(), String::new())..)
+                    .take_while(|((p, _), _)| *p == pk)
+                    .map(|((_, r), &(v, t))| (r.clone(), PropValue::I64(v), t))
+                    .collect();
+                prop_assert_eq!(scan, want);
             }
-            proptest::prop_assert_eq!(s.entity_count("t").unwrap(), reference.len());
+            prop_assert_eq!(s.entity_count("t").unwrap(), reference.len());
         }
     }
 }

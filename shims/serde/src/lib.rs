@@ -168,24 +168,52 @@ pub mod value {
             }
         }
 
+        /// Consume a run of ASCII digits; returns how many there were.
+        fn digits(&mut self) -> usize {
+            let start = self.pos;
+            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                self.pos += 1;
+            }
+            self.pos - start
+        }
+
+        /// RFC 8259: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
         fn parse_number(&mut self) -> Result<Value, DeError> {
             let start = self.pos;
             if self.peek() == Some(b'-') {
                 self.pos += 1;
             }
-            while let Some(b) = self.peek() {
-                if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
-                    self.pos += 1;
-                } else {
-                    break;
+            match self.peek() {
+                Some(b'0') => self.pos += 1,
+                Some(b'1'..=b'9') => {
+                    self.digits();
+                }
+                _ => return Err(self.err("expected a digit")),
+            }
+            if self.peek() == Some(b'.') {
+                self.pos += 1;
+                if self.digits() == 0 {
+                    return Err(self.err("expected a fraction digit"));
                 }
             }
-            if self.pos == start {
-                return Err(self.err("empty number"));
+            if matches!(self.peek(), Some(b'e' | b'E')) {
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'+' | b'-')) {
+                    self.pos += 1;
+                }
+                if self.digits() == 0 {
+                    return Err(self.err("expected an exponent digit"));
+                }
             }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| self.err("non-utf8 number"))?;
-            Ok(Value::Num(text.to_string()))
+            let text = self.bytes[start..self.pos].iter().map(|&b| char::from(b));
+            Ok(Value::Num(text.collect()))
+        }
+
+        /// The value of exactly four hex digits at `at`.
+        fn hex4(&self, at: usize) -> Option<u32> {
+            let hex = self.bytes.get(at..at + 4)?;
+            hex.iter()
+                .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
         }
 
         fn parse_string(&mut self) -> Result<String, DeError> {
@@ -210,49 +238,40 @@ pub mod value {
                             Some(b'r') => out.push('\r'),
                             Some(b't') => out.push('\t'),
                             Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or_else(|| self.err("truncated \\u escape"))?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("bad \\u escape"))?;
-                                let cp = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| self.err("bad \\u escape"))?;
-                                // Surrogate pairs: recombine if a low
-                                // surrogate follows.
-                                let ch = if (0xD800..0xDC00).contains(&cp) {
-                                    let rest = &self.bytes[self.pos + 5..];
-                                    if rest.starts_with(b"\\u") {
-                                        let lo = rest
-                                            .get(2..6)
-                                            .and_then(|h| std::str::from_utf8(h).ok())
-                                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                            .filter(|lo| (0xDC00..=0xDFFF).contains(lo))
-                                            .ok_or_else(|| self.err("bad surrogate pair"))?;
-                                        self.pos += 6;
-                                        let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                        char::from_u32(c).expect("a surrogate pair is a scalar")
-                                    } else {
-                                        return Err(self.err("lone surrogate"));
-                                    }
-                                } else {
-                                    char::from_u32(cp).ok_or_else(|| self.err("bad codepoint"))?
-                                };
-                                out.push(ch);
+                                let cp = self
+                                    .hex4(self.pos + 1)
+                                    .ok_or_else(|| self.err("bad \\u escape"))?;
                                 self.pos += 4;
+                                // A high surrogate must pair with an escaped
+                                // low one.
+                                let ch = if (0xD800..0xDC00).contains(&cp) {
+                                    let lo = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                                        Some(b"\\u") => self
+                                            .hex4(self.pos + 3)
+                                            .filter(|lo| (0xDC00..=0xDFFF).contains(lo)),
+                                        _ => None,
+                                    }
+                                    .ok_or_else(|| self.err("bad surrogate pair"))?;
+                                    self.pos += 6;
+                                    char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                                } else {
+                                    char::from_u32(cp)
+                                };
+                                out.push(ch.ok_or_else(|| self.err("bad codepoint"))?);
                             }
                             _ => return Err(self.err("bad escape")),
                         }
                         self.pos += 1;
                     }
+                    Some(0..=0x1F) => return Err(self.err("control character in string")),
                     Some(_) => {
-                        // Consume the run up to the next quote or escape,
-                        // validated once: neither byte occurs inside a
-                        // multi-byte UTF-8 sequence.
+                        // Consume the run up to the next quote, escape or
+                        // control byte, validated once: none of them occurs
+                        // inside a multi-byte UTF-8 sequence.
                         let rest = &self.bytes[self.pos..];
                         let run = rest
                             .iter()
-                            .position(|&b| b == b'"' || b == b'\\')
+                            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                             .unwrap_or(rest.len());
                         match std::str::from_utf8(&rest[..run]) {
                             Ok(s) => out.push_str(s),
@@ -656,6 +675,27 @@ mod tests {
         // A high surrogate must pair with a low one, not any escape.
         assert!(value::parse(br#""\uD800\u0041""#).is_err());
         assert!(value::parse(br#""\uD800\uE000""#).is_err());
+        // Numbers follow RFC 8259's grammar, not any run of `[0-9.eE+-]`.
+        for bad in "[--] [1-2] [1e] [01] [-] [1.] [.5] [1e+] [+1] [-01]".split(' ') {
+            assert!(value::parse(bad.as_bytes()).is_err(), "{bad} parsed");
+        }
+        // `\u` takes exactly four hex digits; raw control bytes need escapes.
+        for bad in [
+            &br#""\u+041""#[..],
+            br#""\u04""#,
+            b"\"a\x01b\"",
+            b"\"a\nb\"",
+        ] {
+            assert!(value::parse(bad).is_err());
+        }
+    }
+
+    #[test]
+    fn rfc_numbers_keep_their_text() {
+        for ok in "0 -0 12 -3.25 1e5 1E+5 2.5e-3 0.0 18446744073709551615".split(' ') {
+            let num = value::Value::Num(ok.into());
+            assert_eq!(value::parse(ok.as_bytes()), Ok(num));
+        }
     }
 
     #[test]

@@ -208,3 +208,37 @@ fn every_dependency_is_used_and_every_shim_is_depended_on() {
         "shims no member depends on: {orphans:?}"
     );
 }
+
+#[test]
+fn every_root_test_and_example_is_a_declared_target() {
+    // Cargo compiles a root `tests/*.rs` or `examples/*.rs` file only when
+    // a member lists it as a `[[test]]` or `[[example]]` path: a file no
+    // manifest names silently never runs.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut declared = BTreeSet::new();
+    for group in ["crates", "shims"] {
+        for member in std::fs::read_dir(root.join(group)).unwrap().flatten() {
+            let manifest = std::fs::read_to_string(member.path().join("Cargo.toml")).unwrap();
+            let mut section = "";
+            for line in manifest.lines().map(str::trim) {
+                if line.starts_with('[') {
+                    section = line;
+                } else if let ("[[test]]" | "[[example]]", Some(path)) =
+                    (section, toml_str(line, "path"))
+                {
+                    declared.insert(member.path().join(path).canonicalize().unwrap());
+                }
+            }
+        }
+    }
+    let undeclared: Vec<PathBuf> = ["tests", "examples"]
+        .iter()
+        .flat_map(|dir| std::fs::read_dir(root.join(dir)).unwrap().flatten())
+        .map(|file| file.path().canonicalize().unwrap())
+        .filter(|path| path.extension().is_some_and(|e| e == "rs") && !declared.contains(path))
+        .collect();
+    assert!(
+        undeclared.is_empty(),
+        "declared by no [[test]] or [[example]] entry: {undeclared:?}"
+    );
+}

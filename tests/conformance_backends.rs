@@ -5,8 +5,9 @@
 //! same table-driven operation sequences, and each is held to exactly
 //! what its [`BackendProfile`](azsim_fabric::BackendProfile) declares:
 //! throttle shape and scope, per-object update limits, bounded
-//! list-after-write visibility, and the `figures verify` safety
-//! invariants. On top of the per-backend checks, a differential oracle
+//! list-after-write visibility, the `figures verify` safety invariants,
+//! and a reduced Algorithm 1 + 3 round trip checked against the payload
+//! function. On top of the per-backend checks, a differential oracle
 //! fingerprints each backend's observable history for one shared script
 //! and fails if two backends that declare different semantics produce
 //! identical histories — the regression that per-backend checks alone
@@ -34,14 +35,15 @@ fn every_backend_honours_its_declared_semantics() {
 #[test]
 fn the_suite_actually_covers_the_declared_axes() {
     // Guard against the table quietly shrinking: the suite must keep
-    // covering throttling, object-update limits, listing visibility and
-    // the verify invariants.
+    // covering throttling, object-update limits, listing visibility, the
+    // verify invariants and the Algorithm 1 + 3 round trip.
     let names: Vec<&str> = CHECKS.iter().map(|&(n, _)| n).collect();
     for expected in [
         "throttle-shape-and-scope",
         "object-update-limit",
         "list-after-write-visibility",
         "verify-invariants",
+        "round-trip",
     ] {
         assert!(names.contains(&expected), "missing check {expected:?}");
     }

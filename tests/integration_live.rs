@@ -3,8 +3,8 @@
 
 use azsim_client::{BlobClient, LiveCluster, QueueClient, TableClient};
 use azsim_core::block_on;
-use azsim_fabric::ClusterParams;
-use azsim_storage::{Entity, PropValue, TableBatchOp};
+use azsim_fabric::{BackendKind, ClusterParams};
+use azsim_storage::{Entity, PropValue, StorageError, TableBatchOp};
 use bytes::Bytes;
 use std::time::Duration;
 
@@ -145,4 +145,97 @@ fn live_metrics_accumulate_across_threads() {
             .completed
     });
     assert_eq!(puts, 30);
+}
+
+/// `len` copies of one byte chosen by (worker, unit): every answer the
+/// reduced Algorithm 1 + 3 workload expects is computed from this.
+fn payload(worker: usize, unit: usize, len: usize) -> Bytes {
+    Bytes::from(vec![((worker * 131 + unit * 31) % 251) as u8; len])
+}
+
+#[test]
+fn reduced_alg1_alg3_reconciles_with_the_payload_function_on_every_backend() {
+    // The client stack (block staging, indexed block reads, queue drain,
+    // retries) over each backend profile returns exactly what the payload
+    // function predicts. Drained payloads compare as a multiset: delivery
+    // order is not a declared guarantee.
+    const BLOCKS: usize = 4;
+    const BLOCK_SIZE: usize = 2 * 1024;
+    const MESSAGES: usize = 20;
+    for kind in BackendKind::ALL {
+        let profile = kind.profile();
+        let window = profile.list_visibility_window.unwrap_or_default();
+        let lc = LiveCluster::new(ClusterParams::for_backend(profile), FAST);
+        let env = lc.env(0);
+        for w in 0..2 {
+            let blobs = BlobClient::new(&env, format!("alg1-{w}"));
+            block_on(blobs.create_container()).unwrap();
+            let blob = format!("data-{w}");
+            let ids: Vec<String> = (0..BLOCKS).map(|i| format!("blk-{i:04}")).collect();
+            for (i, id) in ids.iter().enumerate() {
+                block_on(blobs.put_block(&blob, id.clone(), payload(w, i, BLOCK_SIZE))).unwrap();
+            }
+            block_on(blobs.put_block_list(&blob, ids)).unwrap();
+            let whole: Vec<u8> = (0..BLOCKS)
+                .flat_map(|i| payload(w, i, BLOCK_SIZE).to_vec())
+                .collect();
+            assert_eq!(block_on(blobs.download(&blob)).unwrap(), whole, "{kind}");
+            assert_eq!(
+                block_on(blobs.get_block(&blob, 2)).unwrap(),
+                payload(w, 2, BLOCK_SIZE),
+                "{kind}"
+            );
+            // A listing is only bound to show the commit once the declared
+            // visibility window has passed.
+            std::thread::sleep(window.div_f64(FAST));
+            assert_eq!(block_on(blobs.list_blobs()).unwrap(), vec![blob], "{kind}");
+
+            let q = QueueClient::new(&env, format!("alg3-{w}"));
+            block_on(q.create()).unwrap();
+            for i in 0..MESSAGES {
+                block_on(q.put_message(payload(w, i, 64))).unwrap();
+            }
+            // A visibility timeout of an hour (180 real ms) outlasts any
+            // stall between get and delete on a loaded host.
+            let hour = Duration::from_secs(3600);
+            let mut drained = Vec::new();
+            while let Some(m) = block_on(q.get_message_with_visibility(hour)).unwrap() {
+                block_on(q.delete_message(&m)).unwrap();
+                drained.push(m.data);
+                assert!(drained.len() <= MESSAGES, "{kind}: drained a message twice");
+            }
+            let mut want: Vec<Bytes> = (0..MESSAGES).map(|i| payload(w, i, 64)).collect();
+            drained.sort();
+            want.sort();
+            assert_eq!(drained, want, "{kind}");
+            assert_eq!(block_on(q.message_count()).unwrap(), 0, "{kind}");
+        }
+    }
+}
+
+#[test]
+fn client_stack_surfaces_missing_resources_on_every_backend() {
+    // A missing container, blob and queue reach the caller as the service's
+    // error class, not as a retry or a panic, whatever the backend.
+    for kind in BackendKind::ALL {
+        let lc = LiveCluster::new(ClusterParams::for_backend(kind.profile()), FAST);
+        let env = lc.env(0);
+        let err = block_on(BlobClient::new(&env, "ghost").download("b")).unwrap_err();
+        assert!(
+            matches!(err, StorageError::ContainerNotFound(_)),
+            "{kind}: {err:?}"
+        );
+        let real = BlobClient::new(&env, "real");
+        block_on(real.create_container()).unwrap();
+        let err = block_on(real.download("missing")).unwrap_err();
+        assert!(
+            matches!(err, StorageError::BlobNotFound(_)),
+            "{kind}: {err:?}"
+        );
+        let err = block_on(QueueClient::new(&env, "ghost-q").message_count()).unwrap_err();
+        assert!(
+            matches!(err, StorageError::QueueNotFound(_)),
+            "{kind}: {err:?}"
+        );
+    }
 }
