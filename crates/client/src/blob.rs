@@ -35,7 +35,7 @@ impl<'e, E: Environment> BlobClient<'e, E> {
     }
 
     async fn run(&self, req: StorageRequest) -> StorageResult<StorageOk> {
-        self.policy.run(self.env, &req).await
+        self.policy.run(self.env, req).await
     }
 
     /// Create the container (idempotent).

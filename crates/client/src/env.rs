@@ -5,6 +5,7 @@ use azsim_core::SimTime;
 use azsim_fabric::{Cluster, Fleet, FleetReq};
 use azsim_storage::{StorageOk, StorageRequest, StorageResult};
 use std::future::Future;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A place a storage client can run: provides a clock, a sleep primitive
@@ -24,8 +25,9 @@ pub trait Environment {
     fn now(&self) -> SimTime;
     /// Wait for `d` (virtual or scaled-real).
     fn sleep(&self, d: Duration) -> impl Future<Output = ()>;
-    /// Execute one storage request to completion.
-    fn execute(&self, req: StorageRequest) -> impl Future<Output = StorageResult<StorageOk>>;
+    /// Execute one storage request to completion. The request is shared,
+    /// so a retry loop hands every attempt the same allocation.
+    fn execute(&self, req: Arc<StorageRequest>) -> impl Future<Output = StorageResult<StorageOk>>;
     /// The role-instance index this environment belongs to.
     fn instance(&self) -> usize;
 }
@@ -58,7 +60,7 @@ impl Environment for VirtualEnv {
         self.ctx.sleep(d)
     }
 
-    fn execute(&self, req: StorageRequest) -> impl Future<Output = StorageResult<StorageOk>> {
+    fn execute(&self, req: Arc<StorageRequest>) -> impl Future<Output = StorageResult<StorageOk>> {
         self.ctx.call(req)
     }
 
@@ -116,7 +118,7 @@ impl Environment for FleetEnv {
         self.ctx.sleep(d)
     }
 
-    fn execute(&self, req: StorageRequest) -> impl Future<Output = StorageResult<StorageOk>> {
+    fn execute(&self, req: Arc<StorageRequest>) -> impl Future<Output = StorageResult<StorageOk>> {
         self.ctx.call(FleetReq {
             tenant: self.tenant,
             req,
@@ -140,16 +142,22 @@ mod tests {
         let report = sim.run_workers(2, |ctx| async move {
             let env = VirtualEnv::new(&ctx);
             assert_eq!(env.instance(), ctx.id().0);
-            env.execute(StorageRequest::CreateQueue {
-                queue: format!("q{}", env.instance()),
-            })
+            env.execute(
+                StorageRequest::CreateQueue {
+                    queue: format!("q{}", env.instance()),
+                }
+                .into(),
+            )
             .await
             .unwrap();
-            env.execute(StorageRequest::PutMessage {
-                queue: format!("q{}", env.instance()),
-                data: Bytes::from_static(b"hello"),
-                ttl: None,
-            })
+            env.execute(
+                StorageRequest::PutMessage {
+                    queue: format!("q{}", env.instance()),
+                    data: Bytes::from_static(b"hello"),
+                    ttl: None,
+                }
+                .into(),
+            )
             .await
             .unwrap();
             let before = env.now();

@@ -90,7 +90,7 @@ impl Environment for LiveEnv {
         ready(())
     }
 
-    fn execute(&self, req: StorageRequest) -> impl Future<Output = StorageResult<StorageOk>> {
+    fn execute(&self, req: Arc<StorageRequest>) -> impl Future<Output = StorageResult<StorageOk>> {
         let (done, resp) = {
             let mut c = self.cluster.lock();
             let now = self.cluster.now();
@@ -123,17 +123,27 @@ mod tests {
     fn live_roundtrip() {
         let lc = LiveCluster::new(ClusterParams::default(), FAST);
         let env = lc.env(0);
-        block_on(env.execute(StorageRequest::CreateQueue { queue: "q".into() })).unwrap();
-        block_on(env.execute(StorageRequest::PutMessage {
-            queue: "q".into(),
-            data: Bytes::from_static(b"live"),
-            ttl: None,
-        }))
+        block_on(env.execute(StorageRequest::CreateQueue { queue: "q".into() }.into())).unwrap();
+        block_on(
+            env.execute(
+                StorageRequest::PutMessage {
+                    queue: "q".into(),
+                    data: Bytes::from_static(b"live"),
+                    ttl: None,
+                }
+                .into(),
+            ),
+        )
         .unwrap();
-        let got = block_on(env.execute(StorageRequest::GetMessage {
-            queue: "q".into(),
-            visibility_timeout: Duration::from_secs(30),
-        }))
+        let got = block_on(
+            env.execute(
+                StorageRequest::GetMessage {
+                    queue: "q".into(),
+                    visibility_timeout: Duration::from_secs(30),
+                }
+                .into(),
+            ),
+        )
         .unwrap();
         match got {
             StorageOk::Message(Some(m)) => assert_eq!(m.data, Bytes::from_static(b"live")),
@@ -147,7 +157,7 @@ mod tests {
         let lc = LiveCluster::new(ClusterParams::default(), FAST);
         block_on(
             lc.env(0)
-                .execute(StorageRequest::CreateQueue { queue: "q".into() }),
+                .execute(StorageRequest::CreateQueue { queue: "q".into() }.into()),
         )
         .unwrap();
         let n = 8;
@@ -155,18 +165,23 @@ mod tests {
             for i in 0..n {
                 let env = lc.env(i);
                 s.spawn(move || {
-                    block_on(env.execute(StorageRequest::PutMessage {
-                        queue: "q".into(),
-                        data: Bytes::from(vec![i as u8]),
-                        ttl: None,
-                    }))
+                    block_on(
+                        env.execute(
+                            StorageRequest::PutMessage {
+                                queue: "q".into(),
+                                data: Bytes::from(vec![i as u8]),
+                                ttl: None,
+                            }
+                            .into(),
+                        ),
+                    )
                     .unwrap();
                 });
             }
         });
         let count = block_on(
             lc.env(0)
-                .execute(StorageRequest::GetMessageCount { queue: "q".into() }),
+                .execute(StorageRequest::GetMessageCount { queue: "q".into() }.into()),
         )
         .unwrap();
         match count {
@@ -180,7 +195,7 @@ mod tests {
         let lc = LiveCluster::new(ClusterParams::default(), FAST);
         block_on(
             lc.env(0)
-                .execute(StorageRequest::CreateQueue { queue: "q".into() }),
+                .execute(StorageRequest::CreateQueue { queue: "q".into() }.into()),
         )
         .unwrap();
         let lc2 = Arc::clone(&lc);

@@ -45,7 +45,7 @@ impl<'e, E: Environment> QueueClient<'e, E> {
         self.policy
             .run(
                 self.env,
-                &StorageRequest::CreateQueue {
+                StorageRequest::CreateQueue {
                     queue: self.name.clone(),
                 },
             )
@@ -58,7 +58,7 @@ impl<'e, E: Environment> QueueClient<'e, E> {
         self.policy
             .run(
                 self.env,
-                &StorageRequest::DeleteQueue {
+                StorageRequest::DeleteQueue {
                     queue: self.name.clone(),
                 },
             )
@@ -71,7 +71,7 @@ impl<'e, E: Environment> QueueClient<'e, E> {
         self.policy
             .run(
                 self.env,
-                &StorageRequest::PutMessage {
+                StorageRequest::PutMessage {
                     queue: self.name.clone(),
                     data,
                     ttl: None,
@@ -95,7 +95,7 @@ impl<'e, E: Environment> QueueClient<'e, E> {
             .policy
             .run(
                 self.env,
-                &StorageRequest::GetMessage {
+                StorageRequest::GetMessage {
                     queue: self.name.clone(),
                     visibility_timeout: visibility,
                 },
@@ -113,7 +113,7 @@ impl<'e, E: Environment> QueueClient<'e, E> {
             .policy
             .run(
                 self.env,
-                &StorageRequest::PeekMessage {
+                StorageRequest::PeekMessage {
                     queue: self.name.clone(),
                 },
             )
@@ -129,7 +129,7 @@ impl<'e, E: Environment> QueueClient<'e, E> {
         self.policy
             .run(
                 self.env,
-                &StorageRequest::DeleteMessage {
+                StorageRequest::DeleteMessage {
                     queue: self.name.clone(),
                     id: msg.id,
                     pop_receipt: msg.pop_receipt,
@@ -146,7 +146,7 @@ impl<'e, E: Environment> QueueClient<'e, E> {
             .policy
             .run(
                 self.env,
-                &StorageRequest::ClearQueue {
+                StorageRequest::ClearQueue {
                     queue: self.name.clone(),
                 },
             )
@@ -163,7 +163,7 @@ impl<'e, E: Environment> QueueClient<'e, E> {
             .policy
             .run(
                 self.env,
-                &StorageRequest::GetMessageCount {
+                StorageRequest::GetMessageCount {
                     queue: self.name.clone(),
                 },
             )

@@ -41,6 +41,7 @@ use rand::Rng;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// RNG stream tag for backoff jitter (see [`azsim_core::rng::stream_rng`]).
@@ -352,12 +353,14 @@ impl ResilientPolicy {
             .unwrap_or_default()
     }
 
-    /// Execute `req` against `env` under this policy.
+    /// Execute `req` against `env` under this policy. Every attempt shares
+    /// the one request.
     pub async fn run<E: Environment>(
         &self,
         env: &E,
-        req: &StorageRequest,
+        req: StorageRequest,
     ) -> StorageResult<StorageOk> {
+        let req = Arc::new(req);
         let pk = req.partition();
         let start = env.now();
 
@@ -370,7 +373,7 @@ impl ResilientPolicy {
         loop {
             attempt += 1;
             self.state.borrow_mut().stats.attempts += 1;
-            let err = match env.execute(req.clone()).await {
+            let err = match env.execute(Arc::clone(&req)).await {
                 Ok(ok) => {
                     self.record_outcome(env.now(), &pk, None);
                     if let Some(b) = self.budget {
@@ -564,7 +567,7 @@ impl ClientPolicy {
     pub async fn run<E: Environment>(
         &self,
         env: &E,
-        req: &StorageRequest,
+        req: StorageRequest,
     ) -> StorageResult<StorageOk> {
         match self {
             ClientPolicy::Paper(p) => p.run(env, req).await,
@@ -587,6 +590,8 @@ mod tests {
         script: RefCell<VecDeque<StorageResult<StorageOk>>>,
         calls: Cell<usize>,
         slept: RefCell<Vec<Duration>>,
+        /// Every attempt's request, held so no two can share an address.
+        seen: RefCell<Vec<Arc<StorageRequest>>>,
     }
 
     impl ScriptedEnv {
@@ -596,6 +601,7 @@ mod tests {
                 script: RefCell::new(script.into()),
                 calls: Cell::new(0),
                 slept: RefCell::new(Vec::new()),
+                seen: RefCell::new(Vec::new()),
             }
         }
 
@@ -615,9 +621,10 @@ mod tests {
         }
         fn execute(
             &self,
-            _req: StorageRequest,
+            req: Arc<StorageRequest>,
         ) -> impl std::future::Future<Output = StorageResult<StorageOk>> {
             self.calls.set(self.calls.get() + 1);
+            self.seen.borrow_mut().push(req);
             std::future::ready(
                 self.script
                     .borrow_mut()
@@ -670,13 +677,17 @@ mod tests {
             classify(&StorageError::QueueNotFound("q".into())),
             ErrorClass::Permanent
         );
+        assert_eq!(
+            classify(&StorageError::BatchTooLarge { count: 101 }),
+            ErrorClass::Permanent
+        );
     }
 
     #[test]
     fn retries_transient_errors_with_bounded_jitter() {
         let env = ScriptedEnv::new(vec![busy(0), fault(0), busy(0)]);
         let policy = ResilientPolicy::new(7);
-        block_on(policy.run(&env, &req())).unwrap();
+        block_on(policy.run(&env, req())).unwrap();
         assert_eq!(env.calls.get(), 4);
         let slept = env.slept.borrow();
         assert_eq!(slept.len(), 3);
@@ -690,10 +701,26 @@ mod tests {
     }
 
     #[test]
+    fn every_attempt_shares_one_request() {
+        // ServerBusy → ServerBusy → Ok: three attempts, one allocation,
+        // through the policy and through the client slot that wraps it.
+        for policy in [
+            ClientPolicy::from(ResilientPolicy::new(7)),
+            ClientPolicy::from(RetryPolicy::default()),
+        ] {
+            let env = ScriptedEnv::new(vec![busy(0), busy(0)]);
+            block_on(policy.run(&env, req())).unwrap();
+            let seen = env.seen.borrow();
+            assert_eq!(seen.len(), 3);
+            assert!(seen.iter().all(|r| Arc::as_ptr(r) == Arc::as_ptr(&seen[0])));
+        }
+    }
+
+    #[test]
     fn longer_retry_after_hint_wins_over_jitter() {
         let env = ScriptedEnv::new(vec![busy(5_000)]);
         let policy = ResilientPolicy::new(1);
-        block_on(policy.run(&env, &req())).unwrap();
+        block_on(policy.run(&env, req())).unwrap();
         assert_eq!(env.slept.borrow()[0], Duration::from_secs(5));
     }
 
@@ -704,7 +731,7 @@ mod tests {
             block_on(
                 ResilientPolicy::new(seed)
                     .with_breaker(None)
-                    .run(&env, &req()),
+                    .run(&env, req()),
             )
             .unwrap();
             let slept = env.slept.borrow().clone();
@@ -717,7 +744,7 @@ mod tests {
     #[test]
     fn permanent_errors_abort_immediately() {
         let env = ScriptedEnv::new(vec![Err(StorageError::QueueNotFound("q".into()))]);
-        let r = block_on(ResilientPolicy::new(0).run(&env, &req()));
+        let r = block_on(ResilientPolicy::new(0).run(&env, req()));
         assert!(matches!(r, Err(StorageError::QueueNotFound(_))));
         assert_eq!(env.calls.get(), 1);
         assert!(env.slept.borrow().is_empty());
@@ -734,7 +761,7 @@ mod tests {
                 multiplier: 1.0,
             })
             .with_deadline(Duration::from_millis(100));
-        let r = block_on(policy.run(&env, &req()));
+        let r = block_on(policy.run(&env, req()));
         assert!(matches!(r, Err(StorageError::Timeout { .. })));
         // One 60 ms sleep fits the 100 ms budget; the second would not.
         assert_eq!(env.slept.borrow().len(), 1);
@@ -745,7 +772,7 @@ mod tests {
     fn gives_up_after_max_attempts() {
         let env = ScriptedEnv::new(vec![busy(0); 100]);
         let policy = ResilientPolicy::new(0).with_max_attempts(3);
-        let r = block_on(policy.run(&env, &req()));
+        let r = block_on(policy.run(&env, req()));
         assert!(matches!(r, Err(StorageError::ServerBusy { .. })));
         assert_eq!(env.calls.get(), 3);
         assert_eq!(policy.stats().giveups, 1);
@@ -761,19 +788,19 @@ mod tests {
                 cooldown: Duration::from_secs(30),
             }));
         for _ in 0..3 {
-            block_on(policy.run(&env, &req())).unwrap_err();
+            block_on(policy.run(&env, req())).unwrap_err();
         }
         assert_eq!(env.calls.get(), 3);
         assert_eq!(policy.stats().breaker_opens, 1);
         // Open: the next call is rejected locally without cluster traffic.
-        let r = block_on(policy.run(&env, &req()));
+        let r = block_on(policy.run(&env, req()));
         assert!(matches!(r, Err(StorageError::ServerFault { .. })));
         assert_eq!(env.calls.get(), 3);
         assert_eq!(policy.stats().fast_failures, 1);
         // A different partition is unaffected.
         block_on(policy.run(
             &env,
-            &StorageRequest::GetMessageCount {
+            StorageRequest::GetMessageCount {
                 queue: "other".into(),
             },
         ))
@@ -790,14 +817,14 @@ mod tests {
                 failure_threshold: 2,
                 cooldown: Duration::from_secs(1),
             }));
-        block_on(policy.run(&env, &req())).unwrap_err();
-        block_on(policy.run(&env, &req())).unwrap_err();
+        block_on(policy.run(&env, req())).unwrap_err();
+        block_on(policy.run(&env, req())).unwrap_err();
         assert_eq!(policy.stats().breaker_opens, 1);
         env.advance(Duration::from_secs(2));
         // Half-open probe succeeds (script exhausted → Ack) and closes the
         // breaker: further calls flow normally.
-        block_on(policy.run(&env, &req())).unwrap();
-        block_on(policy.run(&env, &req())).unwrap();
+        block_on(policy.run(&env, req())).unwrap();
+        block_on(policy.run(&env, req())).unwrap();
         assert_eq!(env.calls.get(), 4);
         assert_eq!(policy.stats().fast_failures, 0);
     }
@@ -812,12 +839,12 @@ mod tests {
                 cooldown: Duration::from_secs(1),
             }))
             .with_event_log();
-        block_on(policy.run(&env, &req())).unwrap_err();
-        block_on(policy.run(&env, &req())).unwrap_err();
+        block_on(policy.run(&env, req())).unwrap_err();
+        block_on(policy.run(&env, req())).unwrap_err();
         let open_at = env.now();
         env.advance(Duration::from_secs(2));
         // Half-open probe succeeds (script exhausted → Ack) and closes.
-        block_on(policy.run(&env, &req())).unwrap();
+        block_on(policy.run(&env, req())).unwrap();
         let events = policy.take_breaker_events();
         let pk = req().partition();
         assert_eq!(
@@ -857,12 +884,12 @@ mod tests {
                 cooldown: Duration::from_secs(1),
             }))
             .with_event_log();
-        block_on(policy.run(&env, &req())).unwrap_err();
-        block_on(policy.run(&env, &req())).unwrap_err();
+        block_on(policy.run(&env, req())).unwrap_err();
+        block_on(policy.run(&env, req())).unwrap_err();
         assert_eq!(policy.stats().breaker_opens, 1);
         env.advance(Duration::from_secs(2));
         // Half-open probe hits the second window and fails → re-trip.
-        block_on(policy.run(&env, &req())).unwrap_err();
+        block_on(policy.run(&env, req())).unwrap_err();
         assert_eq!(env.calls.get(), 3);
         assert_eq!(
             policy.stats().breaker_opens,
@@ -870,7 +897,7 @@ mod tests {
             "probe failure must re-open"
         );
         // Open again: fail fast, no cluster traffic.
-        block_on(policy.run(&env, &req())).unwrap_err();
+        block_on(policy.run(&env, req())).unwrap_err();
         assert_eq!(env.calls.get(), 3);
         assert_eq!(policy.stats().fast_failures, 1);
         let kinds: Vec<BreakerTransition> = policy
@@ -906,7 +933,7 @@ mod tests {
                 capacity: 2,
                 refill_per_success: 1.0,
             });
-        let r = block_on(policy.run(&env, &req()));
+        let r = block_on(policy.run(&env, req()));
         assert!(
             matches!(r, Err(StorageError::Timeout { .. })),
             "exhaustion must surface the underlying error, got {r:?}"
@@ -920,11 +947,11 @@ mod tests {
             "budget, not max_attempts, stopped it"
         );
         // A success refills the pool: the next failure can retry again.
-        let r = block_on(policy.run(&env, &req()));
+        let r = block_on(policy.run(&env, req()));
         assert!(r.is_ok(), "script exhausted → Ack");
         let env2 = &env;
         env2.script.borrow_mut().push_back(timeout());
-        block_on(policy.run(env2, &req())).unwrap();
+        block_on(policy.run(env2, req())).unwrap();
         assert_eq!(policy.stats().retries, 3, "refilled token spent on a retry");
     }
 
@@ -934,7 +961,7 @@ mod tests {
         // emit Closed — the breaker never opened.
         let env = ScriptedEnv::new(vec![fault(0), Ok(StorageOk::Ack)]);
         let policy = ResilientPolicy::new(0).with_event_log();
-        block_on(policy.run(&env, &req())).unwrap();
+        block_on(policy.run(&env, req())).unwrap();
         assert!(policy.take_breaker_events().is_empty());
     }
 }

@@ -5,6 +5,7 @@
 
 use crate::env::Environment;
 use azsim_storage::{StorageError, StorageOk, StorageRequest, StorageResult};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Retry configuration for `ServerBusy` responses.
@@ -36,16 +37,17 @@ impl RetryPolicy {
 
     /// Execute `req` against `env`, sleeping and retrying on `ServerBusy`
     /// until it succeeds, fails with a non-retryable error, or attempts run
-    /// out.
+    /// out. Every attempt shares the one request.
     pub async fn run<E: Environment>(
         &self,
         env: &E,
-        req: &StorageRequest,
+        req: StorageRequest,
     ) -> StorageResult<StorageOk> {
+        let req = Arc::new(req);
         let mut attempt = 0;
         loop {
             attempt += 1;
-            match env.execute(req.clone()).await {
+            match env.execute(Arc::clone(&req)).await {
                 Err(
                     StorageError::ServerBusy { retry_after }
                     | StorageError::SlowDown { retry_after },
@@ -73,6 +75,8 @@ mod tests {
         failures_left: Cell<usize>,
         calls: Cell<usize>,
         slept: RefCell<Vec<Duration>>,
+        /// Every attempt's request, held so no two can share an address.
+        seen: RefCell<Vec<Arc<StorageRequest>>>,
     }
 
     impl Environment for Flaky {
@@ -85,9 +89,10 @@ mod tests {
         }
         fn execute(
             &self,
-            _req: StorageRequest,
+            req: Arc<StorageRequest>,
         ) -> impl std::future::Future<Output = StorageResult<StorageOk>> {
             self.calls.set(self.calls.get() + 1);
+            self.seen.borrow_mut().push(req);
             std::future::ready(if self.failures_left.get() > 0 {
                 self.failures_left.set(self.failures_left.get() - 1);
                 Err(StorageError::ServerBusy {
@@ -107,6 +112,7 @@ mod tests {
             failures_left: Cell::new(failures),
             calls: Cell::new(0),
             slept: RefCell::new(Vec::new()),
+            seen: RefCell::new(Vec::new()),
         }
     }
 
@@ -118,7 +124,7 @@ mod tests {
     fn retries_until_success() {
         let env = flaky(3);
         let policy = RetryPolicy::default();
-        block_on(policy.run(&env, &req())).unwrap();
+        block_on(policy.run(&env, req())).unwrap();
         assert_eq!(env.calls.get(), 4);
         assert_eq!(env.slept.borrow().len(), 3);
         // Paper behaviour: the server hint (100 ms) is shorter than the
@@ -131,6 +137,16 @@ mod tests {
     }
 
     #[test]
+    fn every_attempt_shares_one_request() {
+        // ServerBusy → ServerBusy → Ok: three attempts, one allocation.
+        let env = flaky(2);
+        block_on(RetryPolicy::default().run(&env, req())).unwrap();
+        let seen = env.seen.borrow();
+        assert_eq!(seen.len(), 3);
+        assert!(seen.iter().all(|r| Arc::as_ptr(r) == Arc::as_ptr(&seen[0])));
+    }
+
+    #[test]
     fn longer_server_hint_overrides_backoff() {
         // retry_after (100 ms) exceeds the configured backoff (10 ms): the
         // client must wait out the server's hint, not its own shorter default.
@@ -139,7 +155,7 @@ mod tests {
             max_attempts: 10,
             backoff: Duration::from_millis(10),
         };
-        block_on(policy.run(&env, &req())).unwrap();
+        block_on(policy.run(&env, req())).unwrap();
         assert_eq!(
             *env.slept.borrow(),
             vec![Duration::from_millis(100), Duration::from_millis(100)]
@@ -153,7 +169,7 @@ mod tests {
             max_attempts: 5,
             backoff: Duration::from_secs(1),
         };
-        let r = block_on(policy.run(&env, &req()));
+        let r = block_on(policy.run(&env, req()));
         assert!(matches!(r, Err(StorageError::ServerBusy { .. })));
         assert_eq!(env.calls.get(), 5);
     }
@@ -161,7 +177,7 @@ mod tests {
     #[test]
     fn no_retry_policy_fails_fast() {
         let env = flaky(1);
-        let r = block_on(RetryPolicy::none().run(&env, &req()));
+        let r = block_on(RetryPolicy::none().run(&env, req()));
         assert!(r.is_err());
         assert_eq!(env.calls.get(), 1);
         assert!(env.slept.borrow().is_empty());
@@ -179,7 +195,7 @@ mod tests {
             }
             fn execute(
                 &self,
-                _req: StorageRequest,
+                _req: Arc<StorageRequest>,
             ) -> impl std::future::Future<Output = StorageResult<StorageOk>> {
                 std::future::ready(Err(StorageError::QueueNotFound("q".into())))
             }
@@ -187,7 +203,7 @@ mod tests {
                 0
             }
         }
-        let r = block_on(RetryPolicy::default().run(&AlwaysMissing, &req()));
+        let r = block_on(RetryPolicy::default().run(&AlwaysMissing, req()));
         assert!(matches!(r, Err(StorageError::QueueNotFound(_))));
     }
 }

@@ -36,7 +36,7 @@ impl<'e, E: Environment> TableClient<'e, E> {
     }
 
     async fn run(&self, req: StorageRequest) -> StorageResult<StorageOk> {
-        self.policy.run(self.env, &req).await
+        self.policy.run(self.env, req).await
     }
 
     /// Create the table (idempotent).

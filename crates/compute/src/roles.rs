@@ -145,17 +145,23 @@ mod tests {
         let upload_cost = |vm: VmSize| {
             let report = Deployment::new(ClusterParams::default(), 2)
                 .with_role("w", 1, vm, |ctx, _env| async move {
-                    ctx.call(StorageRequest::CreateContainer {
-                        container: "c".into(),
-                    })
+                    ctx.call(
+                        StorageRequest::CreateContainer {
+                            container: "c".into(),
+                        }
+                        .into(),
+                    )
                     .await
                     .unwrap();
                     let t0 = ctx.now();
-                    ctx.call(StorageRequest::UploadBlockBlob {
-                        container: "c".into(),
-                        blob: "b".into(),
-                        data: Bytes::from(vec![0u8; 1 << 20]),
-                    })
+                    ctx.call(
+                        StorageRequest::UploadBlockBlob {
+                            container: "c".into(),
+                            blob: "b".into(),
+                            data: Bytes::from(vec![0u8; 1 << 20]),
+                        }
+                        .into(),
+                    )
                     .await
                     .unwrap();
                     ctx.now() - t0

@@ -66,15 +66,18 @@ mod tests {
             let cfg = BenchConfig::quick().with_shards(shards);
             run_cluster_workers(&cfg, Cluster::with_defaults(), 4, |ctx| async move {
                 let q = format!("q{}", ctx.id().0);
-                ctx.call(StorageRequest::CreateQueue { queue: q.clone() })
+                ctx.call(StorageRequest::CreateQueue { queue: q.clone() }.into())
                     .await
                     .unwrap();
                 for _ in 0..8 {
-                    ctx.call(StorageRequest::PutMessage {
-                        queue: q.clone(),
-                        data: Bytes::from_static(&[9u8; 128]),
-                        ttl: None,
-                    })
+                    ctx.call(
+                        StorageRequest::PutMessage {
+                            queue: q.clone(),
+                            data: Bytes::from_static(&[9u8; 128]),
+                            ttl: None,
+                        }
+                        .into(),
+                    )
                     .await
                     .unwrap();
                 }

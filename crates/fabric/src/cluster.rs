@@ -34,6 +34,7 @@ use azsim_storage::{
 };
 use azsim_table::TableStore;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// All simulated resources of one partition, created the first time the
@@ -1206,15 +1207,17 @@ impl Cluster {
     }
 }
 
+/// A request travels as an `Arc` so a client's retry attempts share one
+/// allocation; `Arc` rather than `Rc` because `Model::Req` must be `Send`.
 impl Model for Cluster {
-    type Req = StorageRequest;
+    type Req = Arc<StorageRequest>;
     type Resp = StorageResult<StorageOk>;
 
     fn handle(
         &mut self,
         now: SimTime,
         actor: ActorId,
-        req: StorageRequest,
+        req: Arc<StorageRequest>,
     ) -> (SimTime, StorageResult<StorageOk>) {
         self.submit(now, actor.0, &req)
     }

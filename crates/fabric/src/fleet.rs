@@ -25,6 +25,7 @@ use azsim_core::runtime::{ActorId, Model};
 use azsim_core::shard::{ShardPlan, ShardableModel};
 use azsim_core::SimTime;
 use azsim_storage::{StorageOk, StorageRequest, StorageResult};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A request addressed to one tenant of the fleet.
@@ -33,7 +34,7 @@ pub struct FleetReq {
     /// Target tenant (storage account), `0..tenants`.
     pub tenant: u32,
     /// The storage operation to run on that tenant's cluster.
-    pub req: StorageRequest,
+    pub req: Arc<StorageRequest>,
 }
 
 /// `T` independent storage accounts, one [`Cluster`] each.
@@ -209,7 +210,8 @@ mod tests {
                 tenant,
                 req: StorageRequest::CreateQueue {
                     queue: format!("q{}", ctx.id().0),
-                },
+                }
+                .into(),
             })
             .await
             .expect("create queue");
@@ -225,7 +227,7 @@ mod tests {
             let r = ctx
                 .call(FleetReq {
                     tenant,
-                    req: put(&format!("q{}", ctx.id().0), 256),
+                    req: put(&format!("q{}", ctx.id().0), 256).into(),
                 })
                 .await;
             if r.is_ok() {
@@ -296,13 +298,13 @@ mod tests {
                         if ctx.id().0 == 0 {
                             ctx.call(FleetReq {
                                 tenant,
-                                req: StorageRequest::CreateQueue { queue: "q".into() },
+                                req: StorageRequest::CreateQueue { queue: "q".into() }.into(),
                             })
                             .await
                             .expect("create succeeds");
                             ctx.call(FleetReq {
                                 tenant,
-                                req: put("q", 64),
+                                req: put("q", 64).into(),
                             })
                             .await
                             .expect("put succeeds");

@@ -96,6 +96,11 @@ pub enum StorageError {
         /// Property count of the rejected entity.
         count: usize,
     },
+    /// An entity-group transaction held more than 100 operations.
+    BatchTooLarge {
+        /// Operation count of the rejected batch.
+        count: usize,
+    },
     /// A `DeleteMessage` presented a pop receipt that is no longer current
     /// (the message timed out and was re-delivered to someone else).
     PopReceiptMismatch,
@@ -165,6 +170,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::TooManyProperties { count } => {
                 write!(f, "{count} properties exceeds 255-property limit")
+            }
+            StorageError::BatchTooLarge { count } => {
+                write!(f, "batch of {count} operations exceeds 100-operation limit")
             }
             StorageError::PopReceiptMismatch => write!(f, "pop receipt no longer current"),
             StorageError::UploadTooLarge { size } => {

@@ -8,7 +8,7 @@
 //! amortize the per-operation cost the paper measures in Figure 9).
 
 use crate::store::TableStore;
-use azsim_storage::{ETag, EtagCondition, StorageError, StorageResult, TableBatchOp};
+use azsim_storage::{ETag, StorageError, StorageResult, TableBatchOp};
 
 /// Maximum operations in one entity-group transaction.
 pub const MAX_BATCH_OPS: usize = 100;
@@ -43,28 +43,24 @@ impl TableStore {
         ops: &[BatchOp],
     ) -> StorageResult<BatchResult> {
         if ops.len() > MAX_BATCH_OPS {
-            return Err(StorageError::TooManyProperties { count: ops.len() });
+            return Err(StorageError::BatchTooLarge { count: ops.len() });
         }
         // Same-partition and distinct-row validation.
-        let mut rows = std::collections::HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for op in ops {
             if let BatchOp::Insert(e) | BatchOp::Update(e, _) = op {
                 if e.partition_key != partition {
                     return Err(StorageError::PreconditionFailed);
                 }
             }
-            if !rows.insert(row_key(op).to_owned()) {
+            if !seen.insert(row_key(op)) {
                 return Err(StorageError::AlreadyExists);
             }
         }
-        if !self.table_exists(table) {
-            return Err(StorageError::TableNotFound(table.to_owned()));
-        }
-        // Dry-run against a snapshot for atomicity, then commit. Partition
-        // snapshots are cheap (entities are refcounted `Bytes`).
-        let snapshot = self.query_partition(table, partition)?;
+        // Save the partition's row map for atomicity, then apply op by op.
+        // The copy is cheap: entity payloads are refcounted `Bytes`.
+        let saved = self.rows(table, partition)?.cloned().unwrap_or_default();
         let mut tags = Vec::with_capacity(ops.len());
-        let mut failed = None;
         for op in ops {
             let r = match op {
                 BatchOp::Insert(e) => self.insert(table, e.clone()).map(Some),
@@ -75,26 +71,12 @@ impl TableStore {
             };
             match r {
                 Ok(t) => tags.push(t),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
+                Err(err) => {
+                    // Roll back: put the saved row map back.
+                    self.put_rows(table, partition, saved);
+                    return Err(err);
                 }
             }
-        }
-        if let Some(err) = failed {
-            // Roll back: restore the partition snapshot.
-            let current: Vec<String> = self
-                .query_partition(table, partition)?
-                .into_iter()
-                .map(|(e, _)| e.row_key)
-                .collect();
-            for row in current {
-                let _ = self.delete(table, partition, &row, EtagCondition::Any);
-            }
-            for (e, tag) in snapshot {
-                self.restore(table, e, tag);
-            }
-            return Err(err);
         }
         Ok(tags)
     }
@@ -103,7 +85,7 @@ impl TableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use azsim_storage::{Entity, PropValue};
+    use azsim_storage::{Entity, EtagCondition, PropValue};
 
     fn store() -> TableStore {
         let mut s = TableStore::new();
@@ -179,6 +161,44 @@ mod tests {
     }
 
     #[test]
+    fn rollback_restores_a_partition_the_batch_had_emptied() {
+        let mut s = store();
+        let ta = s.insert("t", e("a", 1)).unwrap();
+        let tb = s.insert("t", e("b", 2)).unwrap();
+        let err = s
+            .execute_batch(
+                "t",
+                "p",
+                &[
+                    BatchOp::Delete {
+                        row: "a".into(),
+                        condition: EtagCondition::Any,
+                    },
+                    BatchOp::Delete {
+                        row: "b".into(),
+                        condition: EtagCondition::Any,
+                    },
+                    // The partition is empty here; this op fails.
+                    BatchOp::Update(e("c", 3), EtagCondition::Any),
+                ],
+            )
+            .unwrap_err();
+        assert_eq!(err, StorageError::EntityNotFound);
+        let rows: Vec<(String, ETag)> = s
+            .query_partition("t", "p")
+            .unwrap()
+            .into_iter()
+            .map(|(e, t)| (e.row_key, t))
+            .collect();
+        assert_eq!(rows, vec![("a".into(), ta), ("b".into(), tb)]);
+        // The restored tags are live: a conditional delete on each applies.
+        s.delete("t", "p", "a", EtagCondition::Match(ta)).unwrap();
+        s.delete("t", "p", "b", EtagCondition::Match(tb)).unwrap();
+        // The failed update took a tag number, so the next one follows it.
+        assert_eq!(s.insert("t", e("d", 4)).unwrap(), ETag(tb.0 + 2));
+    }
+
+    #[test]
     fn cross_partition_batch_rejected() {
         let mut s = store();
         let err = s
@@ -216,8 +236,21 @@ mod tests {
         let ops: Vec<BatchOp> = (0..MAX_BATCH_OPS + 1)
             .map(|i| BatchOp::Insert(e(&format!("r{i}"), i as i64)))
             .collect();
-        assert!(s.execute_batch("t", "p", &ops).is_err());
+        let err = s.execute_batch("t", "p", &ops).unwrap_err();
+        assert_eq!(err, StorageError::BatchTooLarge { count: 101 });
+        // Reported as a batch error, not as an entity with 101 properties.
+        assert_eq!(
+            err.to_string(),
+            "batch of 101 operations exceeds 100-operation limit"
+        );
         assert_eq!(s.entity_count("t").unwrap(), 0);
+        // Exactly at the limit is fine.
+        assert_eq!(
+            s.execute_batch("t", "p", &ops[..MAX_BATCH_OPS])
+                .unwrap()
+                .len(),
+            100
+        );
     }
 
     #[test]

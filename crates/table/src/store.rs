@@ -2,18 +2,27 @@
 
 use azsim_storage::limits::{MAX_ENTITY_PROPERTIES, MAX_ENTITY_SIZE};
 use azsim_storage::{ETag, Entity, EtagCondition, StorageError, StorageResult};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-type Key = (String, String); // (PartitionKey, RowKey)
+/// One partition's entities, keyed and ordered by row key.
+pub(crate) type Rows = BTreeMap<String, (Entity, ETag)>;
+
+/// One table: its partitions by partition key, each a row map.
+type Partitions = BTreeMap<String, Rows>;
 
 /// All table state of one storage account.
 ///
-/// Entities are kept in a `BTreeMap` ordered by `(PartitionKey, RowKey)` so
-/// partition scans return deterministic row-key order, mirroring the real
-/// service's clustered index.
+/// A table is a map of partitions, each a `BTreeMap` of its rows ordered by
+/// row key, mirroring the real service, which stores a partition together
+/// under a clustered index: a lookup goes by `&str` without allocating, a
+/// search is bounded by one partition, and a partition scan returns rows in
+/// row-key order. A partition whose last row is deleted keeps its (empty)
+/// map, so a partition that is drained and refilled does not reallocate;
+/// an empty partition is indistinguishable from one never used.
 #[derive(Clone, Debug, Default)]
 pub struct TableStore {
-    tables: HashMap<String, BTreeMap<Key, (Entity, ETag)>>,
+    tables: HashMap<String, Partitions>,
     tag_counter: u64,
 }
 
@@ -42,16 +51,29 @@ impl TableStore {
         self.tables.contains_key(name)
     }
 
-    fn table(&self, name: &str) -> StorageResult<&BTreeMap<Key, (Entity, ETag)>> {
+    fn table(&self, name: &str) -> StorageResult<&Partitions> {
         self.tables
             .get(name)
             .ok_or_else(|| StorageError::TableNotFound(name.to_owned()))
     }
 
-    fn table_mut(&mut self, name: &str) -> StorageResult<&mut BTreeMap<Key, (Entity, ETag)>> {
+    fn table_mut(&mut self, name: &str) -> StorageResult<&mut Partitions> {
         self.tables
             .get_mut(name)
             .ok_or_else(|| StorageError::TableNotFound(name.to_owned()))
+    }
+
+    /// The row map of one partition, if the partition was ever written.
+    pub(crate) fn rows(&self, table: &str, partition: &str) -> StorageResult<Option<&Rows>> {
+        Ok(self.table(table)?.get(partition))
+    }
+
+    /// Put a saved row map back as `partition`'s whole content (batch
+    /// rollback only).
+    pub(crate) fn put_rows(&mut self, table: &str, partition: &str, rows: Rows) {
+        if let Some(parts) = self.tables.get_mut(table) {
+            parts.insert(partition.to_owned(), rows);
+        }
     }
 
     fn validate(entity: &Entity) -> StorageResult<()> {
@@ -76,13 +98,23 @@ impl TableStore {
     pub fn insert(&mut self, table: &str, entity: Entity) -> StorageResult<ETag> {
         Self::validate(&entity)?;
         let tag = self.fresh_tag();
-        let t = self.table_mut(table)?;
-        let key = (entity.partition_key.clone(), entity.row_key.clone());
-        if t.contains_key(&key) {
-            return Err(StorageError::AlreadyExists);
+        let parts = self.table_mut(table)?;
+        // Clone the partition key only the first time the partition is seen.
+        if let Some(rows) = parts.get_mut(&entity.partition_key) {
+            return Self::insert_row(rows, entity, tag);
         }
-        t.insert(key, (entity, tag));
-        Ok(tag)
+        let rows = parts.entry(entity.partition_key.clone()).or_default();
+        Self::insert_row(rows, entity, tag)
+    }
+
+    fn insert_row(rows: &mut Rows, entity: Entity, tag: ETag) -> StorageResult<ETag> {
+        match rows.entry(entity.row_key.clone()) {
+            Entry::Occupied(_) => Err(StorageError::AlreadyExists),
+            Entry::Vacant(slot) => {
+                slot.insert((entity, tag));
+                Ok(tag)
+            }
+        }
     }
 
     /// Point query by key pair. `Ok(None)` on a miss.
@@ -93,8 +125,8 @@ impl TableStore {
         row: &str,
     ) -> StorageResult<Option<(Entity, ETag)>> {
         Ok(self
-            .table(table)?
-            .get(&(partition.to_owned(), row.to_owned()))
+            .rows(table, partition)?
+            .and_then(|rows| rows.get(row))
             .cloned())
     }
 
@@ -104,12 +136,10 @@ impl TableStore {
         table: &str,
         partition: &str,
     ) -> StorageResult<Vec<(Entity, ETag)>> {
-        let t = self.table(table)?;
-        let lo = (partition.to_owned(), String::new());
-        Ok(t.range(lo..)
-            .take_while(|((pk, _), _)| pk == partition)
-            .map(|(_, v)| v.clone())
-            .collect())
+        Ok(self
+            .rows(table, partition)?
+            .map(|rows| rows.values().cloned().collect())
+            .unwrap_or_default())
     }
 
     /// Replace an existing entity's properties subject to an ETag
@@ -122,9 +152,11 @@ impl TableStore {
     ) -> StorageResult<ETag> {
         Self::validate(&entity)?;
         let tag = self.fresh_tag();
-        let t = self.table_mut(table)?;
-        let key = (entity.partition_key.clone(), entity.row_key.clone());
-        match t.get_mut(&key) {
+        let slot = self
+            .table_mut(table)?
+            .get_mut(&entity.partition_key)
+            .and_then(|rows| rows.get_mut(&entity.row_key));
+        match slot {
             None => Err(StorageError::EntityNotFound),
             Some((stored, cur)) => {
                 if !condition.admits(*cur) {
@@ -145,31 +177,25 @@ impl TableStore {
         row: &str,
         condition: EtagCondition,
     ) -> StorageResult<()> {
-        let t = self.table_mut(table)?;
-        let key = (partition.to_owned(), row.to_owned());
-        match t.get(&key) {
+        let Some(rows) = self.table_mut(table)?.get_mut(partition) else {
+            return Err(StorageError::EntityNotFound);
+        };
+        match rows.get(row) {
             None => Err(StorageError::EntityNotFound),
             Some((_, cur)) => {
                 if !condition.admits(*cur) {
                     return Err(StorageError::PreconditionFailed);
                 }
-                t.remove(&key);
+                // The partition's map stays, even when this was its last row.
+                rows.remove(row);
                 Ok(())
             }
         }
     }
 
-    /// Reinstate an entity with a specific tag (batch rollback only).
-    pub(crate) fn restore(&mut self, table: &str, entity: Entity, tag: ETag) {
-        if let Some(t) = self.tables.get_mut(table) {
-            let key = (entity.partition_key.clone(), entity.row_key.clone());
-            t.insert(key, (entity, tag));
-        }
-    }
-
     /// Number of entities in a table.
     pub fn entity_count(&self, table: &str) -> StorageResult<usize> {
-        Ok(self.table(table)?.len())
+        Ok(self.table(table)?.values().map(BTreeMap::len).sum())
     }
 }
 
@@ -179,7 +205,6 @@ mod tests {
     use crate::BatchOp;
     use azsim_storage::PropValue;
     use bytes::Bytes;
-    use std::collections::btree_map::Entry;
 
     fn store() -> TableStore {
         let mut s = TableStore::new();
@@ -355,12 +380,29 @@ mod tests {
         assert_eq!(s.entity_count("t").unwrap(), 0);
     }
 
+    /// Partitions the reference proptest writes, plus one it never touches.
+    const PARTITIONS: [&str; 5] = ["p0", "p1", "p2", "p3", "p-unused"];
+
+    /// The model's rows of one partition as `(row, value, tag)`, in row order.
+    fn model_scan(
+        reference: &BTreeMap<(String, String), (i64, ETag)>,
+        pk: &str,
+    ) -> Vec<(String, PropValue, ETag)> {
+        reference
+            .range((pk.to_owned(), String::new())..)
+            .take_while(|((p, _), _)| p == pk)
+            .map(|((_, r), &(v, t))| (r.clone(), PropValue::I64(v), t))
+            .collect()
+    }
+
     proptest::proptest! {
-        /// CRUD, ETag-conditional updates, partition scans and batches
-        /// agree with a sorted-map reference model.
+        /// CRUD, ETag-conditional updates, partition drains, partition
+        /// scans and batches agree with a sorted-map reference model over
+        /// four partitions, ETag numbers included. Every sequence ends by
+        /// deleting the last row of `p0` and inserting into it again.
         #[test]
         fn prop_matches_reference(
-            ops in proptest::collection::vec((0u8..6, 0u8..4, 0usize..4, 0i64..100), 1..200)
+            ops in proptest::collection::vec((0u8..7, 0u8..4, 0usize..4, 0i64..100), 1..200)
         ) {
             use proptest::{prop_assert, prop_assert_eq};
             let mut s = store();
@@ -368,7 +410,11 @@ mod tests {
             // tags being the ones the store handed out.
             let mut reference: BTreeMap<(String, String), (i64, ETag)> = BTreeMap::new();
             let mut issued: Vec<ETag> = Vec::new();
-            for (op, pn, rn, val) in ops {
+            // The store's tag counter: every valid insert or update
+            // attempt takes the next number, whether or not it applies.
+            let mut counter = 0u64;
+            let epilogue = [(0, 0, 0, 1), (6, 0, 0, 0), (0, 0, 1, 7)];
+            for (op, pn, rn, val) in ops.into_iter().chain(epilogue) {
                 let pk = format!("p{pn}");
                 let rk = format!("r{rn}");
                 let key = (pk.clone(), rk.clone());
@@ -376,11 +422,11 @@ mod tests {
                 match op {
                     0 => {
                         let r = s.insert("t", e);
+                        counter += 1;
                         if let Entry::Vacant(slot) = reference.entry(key) {
-                            prop_assert!(r.is_ok());
-                            let tag = r.unwrap();
-                            issued.push(tag);
-                            slot.insert((val, tag));
+                            prop_assert_eq!(r, Ok(ETag(counter)));
+                            issued.push(ETag(counter));
+                            slot.insert((val, ETag(counter)));
                         } else {
                             prop_assert_eq!(r, Err(StorageError::AlreadyExists));
                         }
@@ -398,16 +444,16 @@ mod tests {
                             ),
                         };
                         let r = s.update("t", e, condition);
+                        counter += 1;
                         match current {
                             None => prop_assert_eq!(r, Err(StorageError::EntityNotFound)),
                             Some(t) if !condition.admits(t) => {
                                 prop_assert_eq!(r, Err(StorageError::PreconditionFailed))
                             }
                             Some(_) => {
-                                prop_assert!(r.is_ok());
-                                let tag = r.unwrap();
-                                issued.push(tag);
-                                reference.insert(key, (val, tag));
+                                prop_assert_eq!(r, Ok(ETag(counter)));
+                                issued.push(ETag(counter));
+                                reference.insert(key, (val, ETag(counter)));
                             }
                         }
                     }
@@ -425,15 +471,15 @@ mod tests {
                         let want = reference.get(&key).map(|&(v, t)| (PropValue::I64(v), t));
                         prop_assert_eq!(got, want);
                     }
-                    _ => {
-                        // One to three ops on distinct rows of one
-                        // partition: all apply, or a failing op leaves the
-                        // store and the model unchanged.
-                        let batch: Vec<BatchOp> = (0..1 + val as usize % 3)
+                    5 => {
+                        // One to four ops on distinct rows of one partition
+                        // (four deletes empty it): all apply, or a failing
+                        // op leaves the store and the model unchanged.
+                        let batch: Vec<BatchOp> = (0..1 + val as usize % 4)
                             .map(|j| {
                                 let row = format!("r{}", (rn + j) % 4);
                                 let e = Entity::new(&pk, &row).with("v", PropValue::I64(val));
-                                match (val as usize / 3 + j) % 3 {
+                                match (val as usize / 4 + j) % 3 {
                                     0 => BatchOp::Insert(e),
                                     1 => BatchOp::Update(e, EtagCondition::Any),
                                     _ => BatchOp::Delete { row, condition: EtagCondition::Any },
@@ -442,45 +488,77 @@ mod tests {
                             .collect();
                         let r = s.execute_batch("t", &pk, &batch);
                         // Rows are distinct, so each op's precondition is
-                        // read from the state before the batch.
+                        // read from the state before the batch. Ops run in
+                        // order up to the first refusal, and each insert or
+                        // update among them takes a tag.
                         let held = |row: &str| reference.contains_key(&(pk.clone(), row.to_owned()));
-                        let refused = batch.iter().find_map(|op| match op {
-                            BatchOp::Insert(e) if held(&e.row_key) => Some(StorageError::AlreadyExists),
-                            BatchOp::Update(e, _) if !held(&e.row_key) => Some(StorageError::EntityNotFound),
-                            BatchOp::Delete { row, .. } if !held(row) => Some(StorageError::EntityNotFound),
-                            _ => None,
-                        });
-                        prop_assert_eq!(r.as_ref().err(), refused.as_ref());
-                        for (op, tag) in batch.iter().zip(r.unwrap_or_default()) {
-                            match (op, tag) {
-                                (BatchOp::Insert(e) | BatchOp::Update(e, _), Some(tag)) => {
-                                    issued.push(tag);
-                                    reference.insert((pk.clone(), e.row_key.clone()), (val, tag));
+                        let mut refused = None;
+                        let mut want_tags = Vec::new();
+                        for op in &batch {
+                            want_tags.push(match op {
+                                BatchOp::Insert(_) | BatchOp::Update(..) => {
+                                    counter += 1;
+                                    Some(ETag(counter))
                                 }
-                                (BatchOp::Delete { row, .. }, None) => {
-                                    reference.remove(&(pk.clone(), row.clone()));
-                                }
-                                (op, tag) => prop_assert!(false, "{op:?} answered {tag:?}"),
+                                BatchOp::Delete { .. } => None,
+                            });
+                            refused = match op {
+                                BatchOp::Insert(e) if held(&e.row_key) => Some(StorageError::AlreadyExists),
+                                BatchOp::Update(e, _) if !held(&e.row_key) => Some(StorageError::EntityNotFound),
+                                BatchOp::Delete { row, .. } if !held(row) => Some(StorageError::EntityNotFound),
+                                _ => None,
+                            };
+                            if refused.is_some() {
+                                break;
                             }
+                        }
+                        match (r, refused) {
+                            (Err(got), Some(want)) => prop_assert_eq!(got, want),
+                            (Ok(tags), None) => {
+                                prop_assert_eq!(&tags, &want_tags);
+                                for (op, tag) in batch.iter().zip(tags) {
+                                    match (op, tag) {
+                                        (BatchOp::Insert(e) | BatchOp::Update(e, _), Some(tag)) => {
+                                            issued.push(tag);
+                                            reference.insert((pk.clone(), e.row_key.clone()), (val, tag));
+                                        }
+                                        (BatchOp::Delete { row, .. }, None) => {
+                                            reference.remove(&(pk.clone(), row.clone()));
+                                        }
+                                        (op, tag) => prop_assert!(false, "{op:?} answered {tag:?}"),
+                                    }
+                                }
+                            }
+                            (r, want) => prop_assert!(false, "batch answered {r:?}, model {want:?}"),
+                        }
+                    }
+                    _ => {
+                        // Drain the partition row by row: its last row goes.
+                        let rows: Vec<String> = model_scan(&reference, &pk)
+                            .into_iter()
+                            .map(|(row, _, _)| row)
+                            .collect();
+                        for row in rows {
+                            prop_assert!(s.delete("t", &pk, &row, EtagCondition::Any).is_ok());
+                            reference.remove(&(pk.clone(), row));
                         }
                     }
                 }
-                // The partition scan is the model's sorted range, tags
-                // included.
-                let scan: Vec<(String, PropValue, ETag)> = s
-                    .query_partition("t", &pk)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(e, t)| (e.row_key, e.properties["v"].clone(), t))
-                    .collect();
-                let want: Vec<(String, PropValue, ETag)> = reference
-                    .range((pk.clone(), String::new())..)
-                    .take_while(|((p, _), _)| *p == pk)
-                    .map(|((_, r), &(v, t))| (r.clone(), PropValue::I64(v), t))
-                    .collect();
-                prop_assert_eq!(scan, want);
+                // Every partition's scan, the emptied and the never-used
+                // ones included, is the model's sorted range, tags and all.
+                for p in PARTITIONS {
+                    let scan: Vec<(String, PropValue, ETag)> = s
+                        .query_partition("t", p)
+                        .unwrap()
+                        .into_iter()
+                        .map(|(e, t)| (e.row_key, e.properties["v"].clone(), t))
+                        .collect();
+                    prop_assert_eq!(scan, model_scan(&reference, p));
+                }
+                prop_assert_eq!(s.entity_count("t").unwrap(), reference.len());
             }
-            prop_assert_eq!(s.entity_count("t").unwrap(), reference.len());
+            // The epilogue refilled `p0` after draining it.
+            prop_assert_eq!(model_scan(&reference, "p0").len(), 1);
         }
     }
 }
