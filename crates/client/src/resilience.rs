@@ -540,13 +540,7 @@ pub enum ClientPolicy {
 
 impl Default for ClientPolicy {
     fn default() -> Self {
-        ClientPolicy::Paper(RetryPolicy::default())
-    }
-}
-
-impl From<RetryPolicy> for ClientPolicy {
-    fn from(p: RetryPolicy) -> Self {
-        ClientPolicy::Paper(p)
+        ClientPolicy::Paper(RetryPolicy)
     }
 }
 
@@ -706,7 +700,7 @@ mod tests {
         // through the policy and through the client slot that wraps it.
         for policy in [
             ClientPolicy::from(ResilientPolicy::new(7)),
-            ClientPolicy::from(RetryPolicy::default()),
+            ClientPolicy::default(),
         ] {
             let env = ScriptedEnv::new(vec![busy(0), busy(0)]);
             block_on(policy.run(&env, req())).unwrap();

@@ -8,33 +8,19 @@ use azsim_storage::{StorageError, StorageOk, StorageRequest, StorageResult};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Retry configuration for `ServerBusy` responses.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Maximum attempts (including the first). `1` disables retries.
-    pub max_attempts: usize,
-    /// Sleep between attempts (the paper uses one second).
-    pub backoff: Duration,
-}
+/// Attempts per operation, the first included.
+const MAX_ATTEMPTS: usize = 120;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 120,
-            backoff: Duration::from_secs(1),
-        }
-    }
-}
+/// Sleep between attempts: the paper's one second.
+const BACKOFF: Duration = Duration::from_secs(1);
+
+/// The paper's retry loop for `ServerBusy` / `SlowDown` responses: sleep
+/// one second (or the server's longer hint) and retry, up to 120 attempts
+/// in all.
+#[derive(Clone, Copy, Debug)]
+pub struct RetryPolicy;
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-
     /// Execute `req` against `env`, sleeping and retrying on `ServerBusy`
     /// until it succeeds, fails with a non-retryable error, or attempts run
     /// out. Every attempt shares the one request.
@@ -51,12 +37,12 @@ impl RetryPolicy {
                 Err(
                     StorageError::ServerBusy { retry_after }
                     | StorageError::SlowDown { retry_after },
-                ) if attempt < self.max_attempts => {
-                    // Sleep at least the configured backoff, but honour a
+                ) if attempt < MAX_ATTEMPTS => {
+                    // Sleep at least the paper's backoff, but honour a
                     // longer server-provided hint (for `SlowDown` the hint
                     // escalates with consecutive rejections, so obeying it
                     // is what drains the pushback).
-                    env.sleep(self.backoff.max(retry_after)).await;
+                    env.sleep(BACKOFF.max(retry_after)).await;
                 }
                 other => return other,
             }
@@ -73,6 +59,8 @@ mod tests {
     /// An environment that fails with ServerBusy a fixed number of times.
     struct Flaky {
         failures_left: Cell<usize>,
+        /// The `retry_after` every rejection carries.
+        hint: Duration,
         calls: Cell<usize>,
         slept: RefCell<Vec<Duration>>,
         /// Every attempt's request, held so no two can share an address.
@@ -96,7 +84,7 @@ mod tests {
             std::future::ready(if self.failures_left.get() > 0 {
                 self.failures_left.set(self.failures_left.get() - 1);
                 Err(StorageError::ServerBusy {
-                    retry_after: Duration::from_millis(100),
+                    retry_after: self.hint,
                 })
             } else {
                 Ok(StorageOk::Ack)
@@ -110,6 +98,7 @@ mod tests {
     fn flaky(failures: usize) -> Flaky {
         Flaky {
             failures_left: Cell::new(failures),
+            hint: Duration::from_millis(100),
             calls: Cell::new(0),
             slept: RefCell::new(Vec::new()),
             seen: RefCell::new(Vec::new()),
@@ -123,7 +112,7 @@ mod tests {
     #[test]
     fn retries_until_success() {
         let env = flaky(3);
-        let policy = RetryPolicy::default();
+        let policy = RetryPolicy;
         block_on(policy.run(&env, req())).unwrap();
         assert_eq!(env.calls.get(), 4);
         assert_eq!(env.slept.borrow().len(), 3);
@@ -140,7 +129,7 @@ mod tests {
     fn every_attempt_shares_one_request() {
         // ServerBusy → ServerBusy → Ok: three attempts, one allocation.
         let env = flaky(2);
-        block_on(RetryPolicy::default().run(&env, req())).unwrap();
+        block_on(RetryPolicy.run(&env, req())).unwrap();
         let seen = env.seen.borrow();
         assert_eq!(seen.len(), 3);
         assert!(seen.iter().all(|r| Arc::as_ptr(r) == Arc::as_ptr(&seen[0])));
@@ -148,39 +137,26 @@ mod tests {
 
     #[test]
     fn longer_server_hint_overrides_backoff() {
-        // retry_after (100 ms) exceeds the configured backoff (10 ms): the
-        // client must wait out the server's hint, not its own shorter default.
-        let env = flaky(2);
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            backoff: Duration::from_millis(10),
+        // retry_after (2 s) exceeds the paper's one-second backoff: the
+        // client must wait out the server's hint, not its own shorter one.
+        let env = Flaky {
+            hint: Duration::from_secs(2),
+            ..flaky(2)
         };
-        block_on(policy.run(&env, req())).unwrap();
+        block_on(RetryPolicy.run(&env, req())).unwrap();
         assert_eq!(
             *env.slept.borrow(),
-            vec![Duration::from_millis(100), Duration::from_millis(100)]
+            vec![Duration::from_secs(2), Duration::from_secs(2)]
         );
     }
 
     #[test]
     fn gives_up_after_max_attempts() {
-        let env = flaky(100);
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            backoff: Duration::from_secs(1),
-        };
-        let r = block_on(policy.run(&env, req()));
+        let env = flaky(MAX_ATTEMPTS + 10);
+        let r = block_on(RetryPolicy.run(&env, req()));
         assert!(matches!(r, Err(StorageError::ServerBusy { .. })));
-        assert_eq!(env.calls.get(), 5);
-    }
-
-    #[test]
-    fn no_retry_policy_fails_fast() {
-        let env = flaky(1);
-        let r = block_on(RetryPolicy::none().run(&env, req()));
-        assert!(r.is_err());
-        assert_eq!(env.calls.get(), 1);
-        assert!(env.slept.borrow().is_empty());
+        assert_eq!(env.calls.get(), MAX_ATTEMPTS);
+        assert_eq!(env.slept.borrow().len(), MAX_ATTEMPTS - 1);
     }
 
     #[test]
@@ -203,7 +179,7 @@ mod tests {
                 0
             }
         }
-        let r = block_on(RetryPolicy::default().run(&AlwaysMissing, req()));
+        let r = block_on(RetryPolicy.run(&AlwaysMissing, req()));
         assert!(matches!(r, Err(StorageError::QueueNotFound(_))));
     }
 }

@@ -3,8 +3,7 @@
 //! ```text
 //! figures TARGET... [--scale S] [--workers 1,2,4,...] [--seed N] [--csv DIR]
 //!         [--threads N] [--shards N] [--backend was,s3,gcs,file|all]
-//!         [--timeline] [--extrapolate] [--verify-seeds N] [--naive]
-//!         [--expect-violation]
+//!         [--extrapolate] [--verify-seeds N] [--naive] [--expect-violation]
 //! ```
 //!
 //! The targets are the rows of [`TARGETS`] plus `all`; with no target the
@@ -25,8 +24,6 @@
 //! `--backend` runs the per-backend targets once per listed backend; `was`
 //! keeps the unsuffixed output names (the committed goldens) and peers
 //! suffix every artifact with `-{backend}`.
-//! `--timeline` enables virtual-time gauge sampling for every target (the
-//! figures stay bit-identical — sampling is passive).
 //!
 //! The `profile` target runs the mixed workload with phase tracing and
 //! writes `profile.json`, `profile.prom` and `profile.otlp.json` (into the
@@ -91,7 +88,7 @@ fn usage() -> String {
         "usage: figures [{}|all]... \
          [--scale S] [--workers 1,2,...] [--seed N] [--csv DIR] [--threads N] [--shards N] \
          [--backend was,s3,gcs,file|all] \
-         [--timeline] [--extrapolate] [--verify-seeds N] [--naive] [--expect-violation]\n\
+         [--extrapolate] [--verify-seeds N] [--naive] [--expect-violation]\n\
          \u{20}      (`all` leaves out the opt-in targets: {})",
         names(TARGETS.iter()).join("|"),
         names(TARGETS.iter().filter(|t| !t.in_all)).join(", ")
@@ -108,7 +105,6 @@ struct Args {
     threads: usize,
     shards: u32,
     backends: Vec<BackendKind>,
-    timeline: bool,
     extrapolate: bool,
     verify_seeds: usize,
     naive: bool,
@@ -125,7 +121,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 0,
         shards: 1,
         backends: vec![BackendKind::Was],
-        timeline: false,
         extrapolate: false,
         verify_seeds: 50,
         naive: false,
@@ -194,7 +189,6 @@ fn parse_args() -> Result<Args, String> {
                     }
                 }
             }
-            "--timeline" => args.timeline = true,
             "--extrapolate" => args.extrapolate = true,
             "--verify-seeds" => {
                 let v = it.next().ok_or("--verify-seeds needs a value")?;
@@ -297,13 +291,8 @@ fn run() -> Result<(), String> {
     if let Some(s) = args.seed {
         cfg.seed = s;
     }
-    if args.timeline {
-        // Gauge sampling is passive: the emitted figures are bit-identical
-        // with or without this flag; only wall-clock time changes.
-        cfg.params.timeline_resolution = Some(azurebench::timeline::DEFAULT_RESOLUTION);
-    }
     eprintln!(
-        "# AzureBench figures — scale {}, workers {:?}, seed {}, shards {}, backends [{}]{}",
+        "# AzureBench figures — scale {}, workers {:?}, seed {}, shards {}, backends [{}]",
         cfg.scale,
         cfg.workers,
         cfg.seed,
@@ -313,11 +302,6 @@ fn run() -> Result<(), String> {
             .map(|b| b.name())
             .collect::<Vec<_>>()
             .join(", "),
-        if args.timeline {
-            ", timeline sampling ON"
-        } else {
-            ""
-        }
     );
 
     // One pass per selected backend; the backend-independent targets ride

@@ -195,9 +195,8 @@ fn verdict(scenario: &str, workers: usize, ranked: &[ResourceUsage]) -> String {
 /// Run one scenario at one worker count and attribute its bottleneck.
 fn run_point(cfg: &BenchConfig, scenario: Scenario, workers: usize) -> BottleneckPoint {
     let seed = cfg.seed;
-    let mut params = cfg.params.clone();
-    params.timeline_resolution.get_or_insert(DEFAULT_RESOLUTION);
-    let mut cluster = Cluster::new(params);
+    let mut cluster = Cluster::new(cfg.params.clone());
+    cluster.enable_timeline(DEFAULT_RESOLUTION);
     // The chaos scenario runs under the standard chaos fault template at
     // half intensity: crash of the queue's partition server, periodic
     // busy storms, request drops and replica stalls.

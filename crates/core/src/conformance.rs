@@ -45,7 +45,7 @@
 
 use crate::verify::{run_verify, VerifyConfig};
 use azsim_core::SimTime;
-use azsim_fabric::{BackendKind, Cluster, ClusterParams, FaultPlan, ThrottleShape};
+use azsim_fabric::{BackendKind, Cluster, ClusterParams, FaultPlan};
 use azsim_storage::{
     Entity, EtagCondition, PropValue, StorageError, StorageOk, StorageRequest, StorageResult,
 };
@@ -133,8 +133,8 @@ fn must<T>(r: Result<T, StorageError>, what: &str) -> Result<T, String> {
 // ---------------------------------------------------------------------------
 
 /// Saturate one queue with a same-instant burst, then hold the observed
-/// rejections against the profile's declared [`ThrottleShape`] and cap
-/// scope.
+/// rejections against the profile's declared
+/// [`ThrottleShape`](azsim_fabric::ThrottleShape) and cap scope.
 fn check_throttle(kind: BackendKind) -> Result<(), String> {
     let p = kind.profile();
     let mut c = cluster(kind);
@@ -150,70 +150,46 @@ fn check_throttle(kind: BackendKind) -> Result<(), String> {
     // submission is a *consecutive* rejection, so curve backends escalate
     // deterministically.
     let t = at(1_000);
-    let mut hints: Vec<Duration> = Vec::new();
-    let mut slowdowns = 0usize;
+    let mut rejections: Vec<(StorageError, Duration)> = Vec::new();
     for i in 0..800usize {
         match c.submit(t, i, &put_msg("hot")).1 {
             Ok(_) => {}
-            Err(StorageError::SlowDown { retry_after }) => {
-                slowdowns += 1;
-                hints.push(retry_after);
-            }
-            Err(StorageError::ServerBusy { retry_after }) => hints.push(retry_after),
+            Err(
+                e @ (StorageError::SlowDown { retry_after }
+                | StorageError::ServerBusy { retry_after }),
+            ) => rejections.push((e, retry_after)),
             Err(other) => return Err(format!("unexpected rejection variant: {other}")),
         }
-        if hints.len() >= 6 {
+        if rejections.len() >= 6 {
             break;
         }
     }
 
     if !p.account_cap && !p.per_partition_caps {
-        // `file://` declares no transaction caps anywhere: an 800-put
+        // `file` declares no transaction caps anywhere: an 800-put
         // same-instant burst must sail through untouched.
-        return if hints.is_empty() {
+        return if rejections.is_empty() {
             Ok(())
         } else {
             Err(format!(
                 "backend declares no caps but rejected {} of the burst",
-                hints.len()
+                rejections.len()
             ))
         };
     }
-
-    match p.throttle {
-        ThrottleShape::RetryAfterHint => {
-            if hints.is_empty() {
-                return Err("declared caps never engaged in an 800-put burst".into());
-            }
-            if slowdowns > 0 {
-                return Err(format!(
-                    "{slowdowns} SlowDown rejections from a backend declaring plain retry hints"
-                ));
-            }
-            let floor = ClusterParams::default().throttle_retry_hint;
-            if let Some(h) = hints.iter().find(|&&h| h < floor) {
-                return Err(format!(
-                    "retry hint {h:?} below the declared floor {floor:?}"
-                ));
-            }
-        }
-        ThrottleShape::SlowDownCurve { base, factor, cap } => {
-            if slowdowns != hints.len() || hints.is_empty() {
-                return Err(format!(
-                    "expected every rejection to be SlowDown, got {slowdowns}/{}",
-                    hints.len()
-                ));
-            }
-            expect_curve(&hints, base, factor, cap)?;
-        }
-        ThrottleShape::ExponentialPushback { base, factor, cap } => {
-            if slowdowns > 0 || hints.is_empty() {
-                return Err(format!(
-                    "expected ServerBusy pushback rejections, got {slowdowns} SlowDown / {} total",
-                    hints.len()
-                ));
-            }
-            expect_curve(&hints, base, factor, cap)?;
+    if rejections.is_empty() {
+        return Err("declared caps never engaged in an 800-put burst".into());
+    }
+    // Each rejection must be exactly the declared signal for its place in
+    // the run and its own hint: the variant, then the hint floor (WAS) or
+    // the escalation curve and its cap (S3, GCS).
+    let floor = ClusterParams::default().throttle_retry_hint;
+    for (k, (got, hint)) in rejections.iter().enumerate() {
+        let declared = p.throttle.reject(k as u32 + 1, *hint, floor);
+        if *got != declared {
+            return Err(format!(
+                "rejection #{k} was {got:?}, the declared shape says {declared:?}"
+            ));
         }
     }
 
@@ -230,26 +206,6 @@ fn check_throttle(kind: BackendKind) -> Result<(), String> {
         return Err(
             "account-scoped backend admitted a cold queue while the account was saturated".into(),
         );
-    }
-    Ok(())
-}
-
-/// Consecutive rejections must follow `base * factor^k`, capped.
-fn expect_curve(
-    hints: &[Duration],
-    base: Duration,
-    factor: u32,
-    cap: Duration,
-) -> Result<(), String> {
-    for (k, &h) in hints.iter().enumerate() {
-        let expected = base
-            .saturating_mul(factor.saturating_pow(k.min(30) as u32))
-            .min(cap);
-        if h != expected {
-            return Err(format!(
-                "rejection #{k} hinted {h:?}, declared curve says {expected:?}"
-            ));
-        }
     }
     Ok(())
 }

@@ -38,7 +38,7 @@ use std::time::Duration;
 /// Schema identifier written into every timeline JSON export.
 pub const TIMELINE_SCHEMA: &str = "azurebench-timeline/v1";
 
-/// Sampling resolution used when the config does not set one.
+/// Gauge sampling resolution of the timeline and bottleneck runs.
 pub const DEFAULT_RESOLUTION: Duration = Duration::from_millis(5);
 
 /// The captured telemetry of one timeline run.
@@ -93,9 +93,8 @@ fn fault_plan(seed: u64) -> FaultPlan {
 /// full telemetry enabled.
 pub fn run_timeline(cfg: &BenchConfig, workers: usize, ops_per_worker: usize) -> TimelineReport {
     let seed = cfg.seed;
-    let mut params = cfg.params.clone();
-    let resolution = *params.timeline_resolution.get_or_insert(DEFAULT_RESOLUTION);
-    let mut cluster = Cluster::new(params);
+    let mut cluster = Cluster::new(cfg.params.clone());
+    cluster.enable_timeline(DEFAULT_RESOLUTION);
     cluster.enable_tracing(workers * ops_per_worker * 12 + 1024);
     let plan = fault_plan(seed);
     cluster.set_fault_plan(plan.clone());
@@ -179,7 +178,7 @@ pub fn run_timeline(cfg: &BenchConfig, workers: usize, ops_per_worker: usize) ->
         ops_per_worker,
         scale: cfg.scale,
         seed,
-        resolution,
+        resolution: DEFAULT_RESOLUTION,
         end_time: report.end_time,
         requests: report.requests,
         usage,

@@ -24,6 +24,7 @@
 //! four backends and fails if any declared property (or any declared
 //! *difference*) is unobservable.
 
+use azsim_storage::StorageError;
 use std::time::Duration;
 
 /// Which simulated storage provider a cluster reproduces.
@@ -39,8 +40,8 @@ pub enum BackendKind {
     /// GCS-style peer: per-object update rate limit with exponential
     /// pushback, no per-partition caps.
     Gcs,
-    /// `file://` — a local-filesystem backend with no service limits at
-    /// all: no caps, no throttling, synchronous listings.
+    /// `file` — a simulated cap-free profile: the same pipeline with no
+    /// caps, no throttling and synchronous listings.
     File,
 }
 
@@ -121,18 +122,28 @@ pub enum ThrottleShape {
 }
 
 impl ThrottleShape {
-    /// The hint after `consecutive` rejections in a row (1-based) given the
-    /// bucket's computed deficit `wait` and the configured floor `hint`.
-    pub fn retry_after(self, consecutive: u32, wait: Duration, hint: Duration) -> Duration {
+    /// The throttle signal after `consecutive` rejections in a row
+    /// (1-based), given the bucket's computed deficit `wait` and the
+    /// configured floor `hint`: the error variant and its retry hint.
+    pub fn reject(self, consecutive: u32, wait: Duration, hint: Duration) -> StorageError {
         match self {
-            ThrottleShape::RetryAfterHint => wait.max(hint),
-            ThrottleShape::SlowDownCurve { base, factor, cap }
-            | ThrottleShape::ExponentialPushback { base, factor, cap } => {
-                let n = consecutive.saturating_sub(1).min(30);
-                base.saturating_mul(factor.saturating_pow(n)).min(cap)
-            }
+            ThrottleShape::RetryAfterHint => StorageError::ServerBusy {
+                retry_after: wait.max(hint),
+            },
+            ThrottleShape::SlowDownCurve { base, factor, cap } => StorageError::SlowDown {
+                retry_after: escalate(consecutive, base, factor, cap),
+            },
+            ThrottleShape::ExponentialPushback { base, factor, cap } => StorageError::ServerBusy {
+                retry_after: escalate(consecutive, base, factor, cap),
+            },
         }
     }
+}
+
+/// `base * factor^(consecutive - 1)`, capped at `cap`.
+fn escalate(consecutive: u32, base: Duration, factor: u32, cap: Duration) -> Duration {
+    let n = consecutive.saturating_sub(1).min(30);
+    base.saturating_mul(factor.saturating_pow(n)).min(cap)
 }
 
 /// A backend's declared semantics: which caps exist, how throttles look,
@@ -218,8 +229,8 @@ impl BackendProfile {
         }
     }
 
-    /// Local filesystem: no service limits, never throttles, strong
-    /// everything.
+    /// Cap-free: the simulated pipeline with no service limits; never
+    /// throttles, strong everything.
     pub fn file() -> Self {
         BackendProfile {
             kind: BackendKind::File,
@@ -296,24 +307,42 @@ mod tests {
         };
         let w = Duration::ZERO;
         let h = Duration::from_secs(1);
-        assert_eq!(shape.retry_after(1, w, h), Duration::from_millis(100));
-        assert_eq!(shape.retry_after(2, w, h), Duration::from_millis(200));
-        assert_eq!(shape.retry_after(3, w, h), Duration::from_millis(400));
-        assert_eq!(shape.retry_after(10, w, h), Duration::from_secs(5));
+        let slow_down = |ms| StorageError::SlowDown {
+            retry_after: Duration::from_millis(ms),
+        };
+        assert_eq!(shape.reject(1, w, h), slow_down(100));
+        assert_eq!(shape.reject(2, w, h), slow_down(200));
+        assert_eq!(shape.reject(3, w, h), slow_down(400));
+        assert_eq!(shape.reject(10, w, h), slow_down(5_000));
         // Escalation count far beyond the cap must not overflow.
-        assert_eq!(shape.retry_after(u32::MAX, w, h), Duration::from_secs(5));
+        assert_eq!(shape.reject(u32::MAX, w, h), slow_down(5_000));
+    }
+
+    #[test]
+    fn exponential_pushback_is_server_busy_on_the_same_curve() {
+        let shape = BackendProfile::gcs().throttle;
+        let busy = |ms| StorageError::ServerBusy {
+            retry_after: Duration::from_millis(ms),
+        };
+        // The deficit and the floor play no part; only the count does.
+        let (w, h) = (Duration::from_secs(9), Duration::from_secs(1));
+        assert_eq!(shape.reject(1, w, h), busy(400));
+        assert_eq!(shape.reject(2, w, h), busy(800));
+        assert_eq!(shape.reject(8, w, h), busy(32_000));
+        assert_eq!(shape.reject(u32::MAX, w, h), busy(32_000));
     }
 
     #[test]
     fn retry_after_hint_shape_matches_was_semantics() {
         let shape = ThrottleShape::RetryAfterHint;
         let hint = Duration::from_secs(1);
+        let busy = |retry_after| StorageError::ServerBusy { retry_after };
         // Hint is a floor …
-        assert_eq!(shape.retry_after(1, Duration::from_millis(10), hint), hint);
-        // … not a cap.
+        assert_eq!(shape.reject(1, Duration::from_millis(10), hint), busy(hint));
+        // … not a cap, and the rejection count plays no part.
         assert_eq!(
-            shape.retry_after(5, Duration::from_secs(3), hint),
-            Duration::from_secs(3)
+            shape.reject(5, Duration::from_secs(3), hint),
+            busy(Duration::from_secs(3))
         );
     }
 }

@@ -15,16 +15,25 @@
 //!
 //! All stages are non-preemptive FIFO resources, so each operation is
 //! priced analytically at arrival (one event per op in the runtime).
+//!
+//! [`Cluster::submit`] runs three stages, each with one owner:
+//! `admission` (injected front-end faults and the declared rate limits)
+//! turns a request away with one rejection or admits it; the priced
+//! pipeline in this module carries an admitted request from the NIC to
+//! the downlink; `accounting` feeds every telemetry sink from the one
+//! [`OpRecord`] either exit builds.
 
-use crate::backend::ThrottleShape;
-use crate::faults::{FaultDecision, FaultInjector, FaultMetrics, FaultPlan};
+mod accounting;
+mod admission;
+
+use crate::faults::{FaultInjector, FaultPlan};
 use crate::metrics::ClusterMetrics;
-use crate::metrics::{MetricsSnapshot, PartitionHeat};
 use crate::params::ClusterParams;
-use crate::timeline::{ClusterSample, ClusterTimeline, ResourceUsage};
+use crate::timeline::ClusterTimeline;
 use crate::trace::{OpOutcome, OpRecord, Phase, PhaseBreadcrumb, Tracer};
+use admission::ObjectUpdateLimiter;
 use azsim_blob::BlobStore;
-use azsim_core::resource::{Admission, FifoServer, Pipe, TokenBucket};
+use azsim_core::resource::{FifoServer, Pipe, TokenBucket};
 use azsim_core::runtime::{ActorId, Model};
 use azsim_core::SimTime;
 use azsim_queue::QueueStore;
@@ -65,35 +74,6 @@ struct PartitionSlot {
     throttled: u64,
 }
 
-/// Per-object mutation rate limiter (GCS-style backends): one token
-/// bucket and consecutive-rejection counter per limited object. Blob
-/// partitions are already per-object, so the object id is empty there;
-/// table mutations key by row so two rows of one partition are limited
-/// independently, as GCS documents.
-struct ObjectUpdateLimiter {
-    /// Mutations per second per object.
-    rate: f64,
-    /// `(slot, object id)` → (bucket, consecutive rejections).
-    buckets: HashMap<(usize, String), (TokenBucket, u32)>,
-}
-
-/// The object a mutation targets under a per-object update limit, or
-/// `None` when the class is not update-limited.
-fn update_limited_object(req: &StorageRequest) -> Option<String> {
-    match req {
-        // Blob mutations: the partition slot is the blob, so the slot id
-        // alone identifies the object.
-        StorageRequest::PutBlock { .. }
-        | StorageRequest::PutBlockList { .. }
-        | StorageRequest::UploadBlockBlob { .. }
-        | StorageRequest::PutPage { .. } => Some(String::new()),
-        // Table mutations of an existing row.
-        StorageRequest::UpdateEntity { entity, .. } => Some(entity.row_key.clone()),
-        StorageRequest::DeleteEntity { row, .. } => Some(row.clone()),
-        _ => None,
-    }
-}
-
 /// The simulated storage cluster for one account.
 pub struct Cluster {
     params: ClusterParams,
@@ -121,10 +101,9 @@ pub struct Cluster {
     /// a listing visibility window (S3): `(container, blob)` → the time the
     /// blob becomes listable.
     list_visibility: Option<HashMap<(String, String), SimTime>>,
-    /// Per-actor NICs, indexed by actor id (grown on demand).
+    /// Per-actor NICs, indexed by actor id (grown on demand; `None` until
+    /// the actor's first request or its [`Cluster::set_actor_nic`]).
     nics: Vec<Option<Pipe>>,
-    /// Per-actor NIC bandwidth overrides set before first use.
-    nic_overrides: Vec<Option<f64>>,
     metrics: ClusterMetrics,
     tracer: Option<Tracer>,
     timeline: Option<ClusterTimeline>,
@@ -146,7 +125,7 @@ impl Cluster {
             .collect();
         // The backend profile decides the account transaction rate: WAS
         // uses the documented 5 000 tx/s, peers may override it, and a
-        // cap-free backend (file://) gets a bucket so large it can never
+        // cap-free profile (`file`) gets a bucket so large it can never
         // engage — keeping the field non-optional so telemetry and
         // resource accounting are uniform across backends.
         let account_rate = if params.backend.account_cap {
@@ -176,19 +155,15 @@ impl Cluster {
             object_update: params
                 .backend
                 .object_update_rate
-                .map(|rate| ObjectUpdateLimiter {
-                    rate,
-                    buckets: HashMap::new(),
-                }),
+                .map(ObjectUpdateLimiter::new),
             list_visibility: params
                 .backend
                 .list_visibility_window
                 .map(|_| HashMap::new()),
             nics: Vec::new(),
-            nic_overrides: Vec::new(),
             metrics: ClusterMetrics::new(),
             tracer: None,
-            timeline: params.timeline_resolution.map(ClusterTimeline::new),
+            timeline: None,
             faults: FaultInjector::inert(),
             params,
         }
@@ -248,13 +223,10 @@ impl Cluster {
     }
 
     /// Override one role instance's NIC bandwidth (bytes/s) — used by the
-    /// compute layer to express VM sizes. Must be called before the actor's
-    /// first request.
+    /// compute layer to express VM sizes. Call it before the actor's first
+    /// request: it installs a fresh pipe, and an unused pipe holds no state.
     pub fn set_actor_nic(&mut self, actor: usize, bytes_per_sec: f64) {
-        if actor >= self.nic_overrides.len() {
-            self.nic_overrides.resize(actor + 1, None);
-        }
-        self.nic_overrides[actor] = Some(bytes_per_sec);
+        *self.nic_entry(actor) = Some(Pipe::new(bytes_per_sec));
     }
 
     /// Cluster parameters.
@@ -262,35 +234,11 @@ impl Cluster {
         &self.params
     }
 
-    /// Server-side metrics.
-    pub fn metrics(&self) -> &ClusterMetrics {
-        &self.metrics
-    }
-
     /// Install a fault plan. The default plan is inert; a non-inert plan
     /// makes the cluster inject the scheduled and probabilistic faults it
     /// describes. Install before the first request for reproducibility.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = FaultInjector::new(plan);
-    }
-
-    /// Counters of injected faults (all zero under the inert default).
-    pub fn fault_metrics(&self) -> &FaultMetrics {
-        self.faults.metrics()
-    }
-
-    /// Keep every [`OpRecord`] — including whether timed-out operations
-    /// secretly executed — as the ground-truth history of a verification
-    /// run. Off by default (one branch per op when off).
-    pub fn enable_history(&mut self) {
-        self.tracer
-            .get_or_insert_with(Tracer::default)
-            .keep_records(usize::MAX);
-    }
-
-    /// The partition an [`OpRecord::partition`] id names.
-    pub fn partition_key(&self, id: u32) -> &PartitionKey {
-        &self.slots[id as usize].key
     }
 
     /// Ground-truth audit of one queue's live messages at `now` — the
@@ -319,207 +267,6 @@ impl Cluster {
             .map(|(e, _)| e)
     }
 
-    /// Exportable snapshot of everything the cluster measured: per-class
-    /// counters, fault tallies, the hottest partitions (top 64 by op count,
-    /// ties broken by label), and — when phase profiling is enabled —
-    /// per-class/per-phase latency histograms.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut heat: Vec<PartitionHeat> = self
-            .slots
-            .iter()
-            .filter(|s| s.ops > 0)
-            .map(|s| PartitionHeat {
-                partition: s.key.to_string(),
-                server: s.server,
-                ops: s.ops,
-                throttled: s.throttled,
-            })
-            .collect();
-        heat.sort_by(|a, b| {
-            b.ops
-                .cmp(&a.ops)
-                .then_with(|| a.partition.cmp(&b.partition))
-        });
-        heat.truncate(64);
-        MetricsSnapshot::build(
-            &self.metrics,
-            self.faults.metrics(),
-            heat,
-            self.tracer.as_ref().and_then(|t| t.phase_stats()),
-        )
-    }
-
-    /// Keep up to `capacity` [`OpRecord`]s (the largest capacity requested
-    /// wins, so a history stays unbounded). Off by default.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.tracer
-            .get_or_insert_with(Tracer::default)
-            .keep_records(capacity);
-    }
-
-    /// Stream every operation into a per-class/per-phase aggregate —
-    /// O(1) memory per operation — beside any record buffer.
-    pub fn enable_phase_profiling(&mut self) {
-        self.tracer
-            .get_or_insert_with(Tracer::default)
-            .enable_aggregation();
-    }
-
-    /// Sample the gauge timeline (token-bucket fill, FIFO backlog,
-    /// inflight ops, fault windows, …) at the given virtual-time
-    /// resolution. Off by default — and when off, the per-operation cost
-    /// is a single branch. Sampling is passive, so completion times are
-    /// bit-identical with the timeline on or off.
-    pub fn enable_timeline(&mut self, resolution: Duration) {
-        self.timeline = Some(ClusterTimeline::new(resolution));
-    }
-
-    /// The gauge timeline, if sampling is enabled.
-    pub fn timeline(&self) -> Option<&ClusterTimeline> {
-        self.timeline.as_ref()
-    }
-
-    /// Time-weighted usage of every cluster resource over `[0, end]`:
-    /// token buckets (saturation needs the timeline enabled; throttle
-    /// counts are always exact), partition FIFOs and all shared pipes
-    /// (busy-time utilization, exact regardless of the timeline). Rows
-    /// come out in a fixed construction order; consumers rank them.
-    pub fn resource_usage(&self, end: SimTime) -> Vec<ResourceUsage> {
-        let window = end.saturating_since(SimTime::ZERO);
-        let mut out = Vec::new();
-        out.push(ResourceUsage {
-            resource: "account_tx".into(),
-            kind: "token_bucket".into(),
-            saturation: self
-                .timeline
-                .as_ref()
-                .map(|tl| tl.account_tx_saturation(end))
-                .unwrap_or(0.0),
-            throttled: self.account_tx.throttle_count(),
-            busy_s: 0.0,
-        });
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.ops == 0 {
-                continue;
-            }
-            let label = slot.key.to_string();
-            if let Some(bucket) = &slot.bucket {
-                out.push(ResourceUsage {
-                    resource: format!("bucket:{label}"),
-                    kind: "token_bucket".into(),
-                    saturation: self
-                        .timeline
-                        .as_ref()
-                        .and_then(|tl| tl.slot_saturation(i, end))
-                        .unwrap_or(0.0),
-                    throttled: bucket.throttle_count(),
-                    busy_s: 0.0,
-                });
-            }
-            if let Some(pipe) = &slot.write_pipe {
-                if pipe.bytes_transferred() > 0 {
-                    out.push(ResourceUsage::busy(
-                        format!("pipe:blob-write:{label}"),
-                        "pipe",
-                        pipe.busy_time(),
-                        window,
-                    ));
-                }
-            }
-            if let Some(pipe) = &slot.read_pipe {
-                if pipe.bytes_transferred() > 0 {
-                    out.push(ResourceUsage::busy(
-                        format!("pipe:blob-read:{label}"),
-                        "pipe",
-                        pipe.busy_time(),
-                        window,
-                    ));
-                }
-            }
-            if slot.fifo.busy_time() > Duration::ZERO {
-                out.push(ResourceUsage::busy(
-                    format!("fifo:{label}"),
-                    "fifo",
-                    slot.fifo.busy_time(),
-                    window,
-                ));
-            }
-        }
-        if self.table_frontend.bytes_transferred() > 0 {
-            out.push(ResourceUsage::busy(
-                "pipe:table_frontend".into(),
-                "pipe",
-                self.table_frontend.busy_time(),
-                window,
-            ));
-        }
-        out.push(ResourceUsage::busy(
-            "pipe:account_up".into(),
-            "pipe",
-            self.account_up.busy_time(),
-            window,
-        ));
-        out.push(ResourceUsage::busy(
-            "pipe:account_down".into(),
-            "pipe",
-            self.account_down.busy_time(),
-            window,
-        ));
-        // Server and NIC pipes are numerous and rarely the binding limit:
-        // report only the busiest of each family (ties: lowest index).
-        let busiest = |pipes: &[Pipe]| -> Option<(usize, Duration)> {
-            pipes
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (i, p.busy_time()))
-                .filter(|(_, b)| *b > Duration::ZERO)
-                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        };
-        if let Some((i, b)) = busiest(&self.server_rx) {
-            out.push(ResourceUsage::busy(
-                format!("pipe:server_rx:{i}"),
-                "pipe",
-                b,
-                window,
-            ));
-        }
-        if let Some((i, b)) = busiest(&self.server_tx) {
-            out.push(ResourceUsage::busy(
-                format!("pipe:server_tx:{i}"),
-                "pipe",
-                b,
-                window,
-            ));
-        }
-        let nic = self
-            .nics
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|p| (i, p.busy_time())))
-            .filter(|(_, b)| *b > Duration::ZERO)
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
-        if let Some((i, b)) = nic {
-            out.push(ResourceUsage::busy(
-                format!("pipe:nic:{i}"),
-                "pipe",
-                b,
-                window,
-            ));
-        }
-        out
-    }
-
-    /// The op recorder, if tracing, profiling or the history is enabled.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Mutable trace sink, if tracing is enabled (client harnesses use this
-    /// to fold retry-phase spans into the aggregate).
-    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_mut()
-    }
-
     /// Read access to the blob namespace (tests, examples).
     pub fn blob_store(&self) -> &BlobStore {
         &self.blobs
@@ -535,19 +282,18 @@ impl Cluster {
         &self.tables
     }
 
-    fn nic(&mut self, actor: usize) -> &mut Pipe {
+    fn nic_entry(&mut self, actor: usize) -> &mut Option<Pipe> {
         if actor >= self.nics.len() {
             self.nics.resize_with(actor + 1, || None);
         }
-        self.nics[actor].get_or_insert_with(|| {
-            let bw = self
-                .nic_overrides
-                .get(actor)
-                .copied()
-                .flatten()
-                .unwrap_or(self.params.default_nic_bandwidth);
-            Pipe::new(bw)
-        })
+        &mut self.nics[actor]
+    }
+
+    /// The actor's NIC, created at the default bandwidth on first use.
+    fn nic(&mut self, actor: usize) -> &mut Pipe {
+        let bandwidth = self.params.default_nic_bandwidth;
+        self.nic_entry(actor)
+            .get_or_insert_with(|| Pipe::new(bandwidth))
     }
 
     /// Per-class service-time overhead on the partition server. This is
@@ -800,139 +546,6 @@ impl Cluster {
         }
     }
 
-    /// Check the backend's declared rate limits; on rejection the caller
-    /// returns the shaped throttle error without touching the partition.
-    ///
-    /// The account bucket fires with the backend's declared shape: WAS
-    /// returns `ServerBusy` carrying the bucket's computed deficit floored
-    /// at the coarse retry hint; S3 returns `SlowDown` with a hint that
-    /// doubles per consecutive rejection; GCS returns `ServerBusy` with the
-    /// same exponential escalation. Per-partition buckets exist only where
-    /// the profile declares them (WAS) and keep WAS's hint shape; the
-    /// per-object update limiter (GCS) escalates independently per object.
-    fn throttle(
-        &mut self,
-        t: SimTime,
-        class: OpClass,
-        slot: usize,
-        req: &StorageRequest,
-    ) -> Result<(), StorageError> {
-        if class.is_control() {
-            return Ok(());
-        }
-        let shape = self.params.backend.throttle;
-        let hint = self.params.throttle_retry_hint;
-        if let Admission::Throttled(w) = self.account_tx.acquire(t, 1.0) {
-            self.account_pushback = self.account_pushback.saturating_add(1);
-            let retry_after = shape.retry_after(self.account_pushback, w, hint);
-            return Err(match shape {
-                ThrottleShape::SlowDownCurve { .. } => StorageError::SlowDown { retry_after },
-                _ => StorageError::ServerBusy { retry_after },
-            });
-        }
-        // Queue partitions carry the 500 msg/s bucket and table partitions
-        // the 500 entities/s bucket; blob scalability is bandwidth-limited
-        // (per-blob pipes), not transaction-limited, so blob slots have no
-        // bucket at all.
-        if let Some(bucket) = self.slots[slot].bucket.as_mut() {
-            if let Admission::Throttled(w) = bucket.acquire(t, 1.0) {
-                return Err(StorageError::ServerBusy {
-                    retry_after: w.max(hint),
-                });
-            }
-        }
-        if let Some(lim) = self.object_update.as_mut() {
-            if let Some(object) = update_limited_object(req) {
-                let rate = lim.rate;
-                let (bucket, pushback) = lim
-                    .buckets
-                    .entry((slot, object))
-                    .or_insert_with(|| (TokenBucket::new(rate, 1.0), 0));
-                if let Admission::Throttled(w) = bucket.acquire(t, 1.0) {
-                    *pushback = pushback.saturating_add(1);
-                    let retry_after = shape.retry_after(*pushback, w, hint);
-                    return Err(StorageError::ServerBusy { retry_after });
-                }
-                *pushback = 0;
-            }
-        }
-        self.account_pushback = 0;
-        Ok(())
-    }
-
-    /// Sample every instrumented gauge at one arrival (no-op unless the
-    /// timeline is enabled). Reads only side-effect-free accessors, so the
-    /// simulated outcome is untouched.
-    fn sample_timeline(&mut self, now: SimTime, actor: usize, slot: usize) {
-        let Some(tl) = self.timeline.as_mut() else {
-            return;
-        };
-        let backlog = |free: SimTime| free.saturating_since(now).as_secs_f64();
-        let s = &self.slots[slot];
-        tl.observe_slot(
-            now,
-            slot,
-            &s.key,
-            s.bucket.as_ref().map(|b| b.fill(now)),
-            s.write_pipe.as_ref().map(|p| backlog(p.next_free())),
-            backlog(s.fifo.next_free()),
-        );
-        tl.observe_cluster(
-            now,
-            ClusterSample {
-                account_tx_fill: self.account_tx.fill(now),
-                up_backlog_s: backlog(self.account_up.next_free()),
-                down_backlog_s: backlog(self.account_down.next_free()),
-                table_frontend_backlog_s: backlog(self.table_frontend.next_free()),
-                nic_backlog_s: self
-                    .nics
-                    .get(actor)
-                    .and_then(|n| n.as_ref())
-                    .map(|p| backlog(p.next_free())),
-                fault_windows: self.faults.active_windows(now),
-            },
-        );
-    }
-
-    /// Account one finished operation in every sink — the class counters,
-    /// the timeline and the recorder — and hand back its completion time
-    /// and result. Every exit of [`Cluster::submit`] ends here.
-    #[inline(always)]
-    fn finish(
-        &mut self,
-        op: OpRecord,
-        result: StorageResult<StorageOk>,
-    ) -> (SimTime, StorageResult<StorageOk>) {
-        let c = self.metrics.counter_mut(op.class);
-        if op.throttled {
-            c.throttled += 1;
-        } else if op.outcome.executed() {
-            // A lost ack still counts as executed server-side, but no
-            // response arrived, so the latency histogram sees no sample.
-            c.completed += 1;
-            c.bytes_up += op.bytes_up;
-            c.bytes_down += op.bytes_down;
-            if op.outcome == OpOutcome::Ok {
-                c.latency.record(op.latency().as_secs_f64());
-            }
-        } else {
-            c.failed += 1;
-        }
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.note_outcome(op.issued, op.completed, op.throttled);
-            if matches!(
-                op.outcome,
-                OpOutcome::TimedOutLost | OpOutcome::TimedOutExecuted
-            ) {
-                tl.note_ambiguous(op.issued);
-            }
-        }
-        if let Some(tr) = &mut self.tracer {
-            tr.record(op);
-        }
-        (op.completed, result)
-    }
-
     /// Whether the 16 KB `GetMessage` anomaly applies to this payload.
     fn quirk_applies(&self, class: OpClass, bytes_down: u64) -> bool {
         self.params.quirk_get16k
@@ -955,98 +568,50 @@ impl Cluster {
             self.sample_timeline(now, actor, slot);
         }
         let up = req.payload_bytes_up();
-        let p_frontend_rtt = self.params.frontend_rtt;
 
         // Uplink: client NIC, then LB/front-end.
-        let (_, mut t) = self.nic(actor).transfer(now, up);
-        t += p_frontend_rtt;
+        let t_front = self.nic(actor).transfer(now, up).1 + self.params.frontend_rtt;
 
-        // Fault injection (inert by default). Faults fire where a real
-        // cluster produces them: storms at the front end, crash/blackout
-        // at the partition server, drops anywhere in between. An ack loss
-        // does *not* divert the request: it proceeds through throttles,
-        // state transition and replication, and only the response is lost.
-        let sidx = self.slots[slot].server;
-        let t_fault = t;
-        // A request rejected (or dropped) at the front end, completing at
-        // `done`: the time up to the rejection point is client send, the
-        // rest the rejection round trip (or the elapsed timeout of a drop).
-        let rejected = |done: SimTime, outcome, throttled| {
-            let mut phases = PhaseBreadcrumb::new();
-            phases.add(Phase::ClientSend, t_fault.saturating_since(now));
-            phases.add(Phase::Rejection, done.saturating_since(t_fault));
-            OpRecord {
-                issued: now,
-                completed: done,
-                actor,
-                class,
-                partition: slot as u32,
-                outcome,
-                throttled,
-                bytes_up: up,
-                bytes_down: 0,
-                phases,
+        // Admission. A rejection answers from the front end: the time up to
+        // it is client send, the rest the rejection round trip (or the
+        // elapsed timeout of a drop).
+        let mut ack_loss = match self.admit(t_front, class, slot, req) {
+            Ok(ack_loss) => ack_loss,
+            Err(rejection) => {
+                let mut phases = PhaseBreadcrumb::new();
+                phases.add(Phase::ClientSend, t_front.saturating_since(now));
+                phases.add(
+                    Phase::Rejection,
+                    rejection.completed.saturating_since(t_front),
+                );
+                let op = OpRecord {
+                    issued: now,
+                    completed: rejection.completed,
+                    actor,
+                    class,
+                    partition: slot as u32,
+                    outcome: rejection.outcome,
+                    throttled: rejection.throttled,
+                    bytes_up: up,
+                    bytes_down: 0,
+                    phases,
+                };
+                return self.finish(op, Err(rejection.error));
             }
         };
-        let mut ack_loss: Option<Duration> = None;
-        match self.faults.decide(t, class, &self.slots[slot].key, sidx) {
-            FaultDecision::None => {}
-            FaultDecision::AckLoss { elapsed } => ack_loss = Some(elapsed),
-            FaultDecision::Busy { retry_after } => {
-                let op = rejected(t + Duration::from_millis(1), OpOutcome::Throttled, true);
-                return self.finish(op, Err(StorageError::ServerBusy { retry_after }));
-            }
-            FaultDecision::Fault { retry_after } => {
-                let op = rejected(t + Duration::from_millis(1), OpOutcome::Faulted, false);
-                return self.finish(op, Err(StorageError::ServerFault { retry_after }));
-            }
-            FaultDecision::Drop { elapsed } => {
-                // The request vanishes; the client's wait expires. No
-                // state transition happens server-side.
-                let op = rejected(t + elapsed, OpOutcome::TimedOutLost, false);
-                return self.finish(op, Err(StorageError::Timeout { elapsed }));
-            }
-        }
 
-        // Declared rate limits, shaped per backend: WAS surfaces the token
-        // bucket's computed deficit floored at the coarse Retry-After, S3
-        // a doubling SlowDown curve, GCS exponential pushback. Only these
-        // rejections heat the partition; an injected storm does not.
-        if let Err(throttle_err) = self.throttle(t, class, slot, req) {
-            self.slots[slot].throttled += 1;
-            return match ack_loss {
-                // The throttle rejected the request before it executed,
-                // but the (rejection) response is the part that gets lost:
-                // the client still observes an opaque timeout.
-                Some(elapsed) => {
-                    let op = rejected(t_fault + elapsed, OpOutcome::TimedOutLost, true);
-                    self.finish(op, Err(StorageError::Timeout { elapsed }))
-                }
-                // The rejection itself is a fast round trip.
-                None => {
-                    let op = rejected(t + Duration::from_millis(1), OpOutcome::Throttled, true);
-                    self.finish(op, Err(throttle_err))
-                }
-            };
-        }
-
-        // Account + server data path for the uplink payload.
-        let (_, t2) = self.account_up.transfer(t, up);
-        t = t2;
-        let (_, t2) = self.server_rx[sidx].transfer(t, up);
-        t = t2;
-        // Blob writes additionally cross the per-blob write pipe
-        // (the 60 MB/s single-blob target).
-        if matches!(
+        // Account + server data path for the uplink payload; blob writes
+        // additionally cross the per-blob write pipe (the 60 MB/s
+        // single-blob target).
+        let sidx = self.slots[slot].server;
+        let mut t = self.account_up.transfer(t_front, up).1;
+        t = self.server_rx[sidx].transfer(t, up).1;
+        let blob_write = matches!(
             class,
             OpClass::BlobPutBlock | OpClass::BlobPutPage | OpClass::BlobUploadSingle
-        ) {
-            let pipe = self.slots[slot]
-                .write_pipe
-                .as_mut()
-                .expect("blob write targets a blob partition");
-            let (_, t2) = pipe.transfer(t, up);
-            t = t2;
+        );
+        if let Some(pipe) = self.slots[slot].write_pipe.as_mut().filter(|_| blob_write) {
+            t = pipe.transfer(t, up).1;
         }
 
         // Partition-server FIFO, serialized per partition (the unit of
@@ -1081,81 +646,85 @@ impl Cluster {
             .map(|ok| ok.payload_bytes_down())
             .unwrap_or(0);
 
-        if result.is_ok() {
-            // The paper's unexplained 16 KB GetMessage anomaly, modeled as a
-            // server-side service-time pathology at that payload bucket.
-            if self.quirk_applies(class, down) {
-                let extra = (self.params.queue_op_service
-                    + self.params.replica_sync
-                    + self.params.state_sync)
-                    .mul_f64(self.params.quirk_get16k_factor - 1.0);
-                t += extra;
-            }
+        // The paper's unexplained 16 KB GetMessage anomaly, modeled as a
+        // server-side service-time pathology at that payload bucket (a
+        // failed request carries no payload, so it never pays it).
+        if self.quirk_applies(class, down) {
+            t += (self.params.queue_op_service + self.params.replica_sync + self.params.state_sync)
+                .mul_f64(self.params.quirk_get16k_factor - 1.0);
         }
         let t_service_end = t;
-        if result.is_ok() {
+        let sync = class.sync_class();
+        if result.is_ok() && sync != SyncClass::ReadPrimary {
             // Strong consistency: replicate writes; GetMessage also
             // propagates visibility state. An injected stall models a
             // slow secondary holding up the synchronous ack.
-            match class.sync_class() {
-                SyncClass::ReadPrimary => {}
-                SyncClass::Replicate => {
-                    t += self.params.replica_sync;
-                    if let Some(stall) = self.faults.replica_stall() {
-                        t += stall;
-                    }
-                }
-                SyncClass::ReplicateState => {
-                    t = t + self.params.replica_sync + self.params.state_sync;
-                    if let Some(stall) = self.faults.replica_stall() {
-                        t += stall;
-                    }
-                }
+            t += self.params.replica_sync;
+            if sync == SyncClass::ReplicateState {
+                t += self.params.state_sync;
+            }
+            if let Some(stall) = self.faults.replica_stall() {
+                t += stall;
+            }
+            // Mid-window crash semantics: a crash that begins while the
+            // write is still syncing applies it on the primary, but the
+            // ack never leaves the dying server — the client observes a
+            // timeout for an operation that executed.
+            if ack_loss.is_none() {
+                ack_loss = self.faults.ack_cut_by_crash(sidx, start, t);
             }
         }
         let t_replica_end = t;
 
-        // Mid-window crash semantics: a crash that begins while a
-        // replicated write is still syncing applies the write on the
-        // primary but the ack never leaves the dying server — the client
-        // observes a timeout for an operation that executed.
-        if ack_loss.is_none()
-            && result.is_ok()
-            && !matches!(class.sync_class(), SyncClass::ReadPrimary)
-        {
-            ack_loss = self.faults.ack_cut_by_crash(sidx, start, t_replica_end);
-        }
-
         // Downlink: blob reads cross the per-blob read path; table payloads
         // cross the shared table front-end; everything crosses the server,
         // account and NIC pipes.
-        if down > 0
-            && matches!(
-                class,
-                OpClass::BlobGetBlock | OpClass::BlobGetPage | OpClass::BlobDownload
-            )
-        {
-            let pipe = self.slots[slot]
-                .read_pipe
-                .as_mut()
-                .expect("blob read targets a blob partition");
-            let (_, t2) = pipe.transfer(t, down);
-            t = t2;
+        let blob_read = matches!(
+            class,
+            OpClass::BlobGetBlock | OpClass::BlobGetPage | OpClass::BlobDownload
+        );
+        if let Some(pipe) = self.slots[slot].read_pipe.as_mut().filter(|_| blob_read) {
+            t = pipe.transfer(t, down).1;
         }
         if class.service() == Service::Table && !class.is_control() {
-            let (_, t2) = self.table_frontend.transfer(t, up + down);
-            t = t2;
+            t = self.table_frontend.transfer(t, up + down).1;
         }
-        let (_, t2) = self.server_tx[sidx].transfer(t, down);
-        t = t2;
-        let (_, t2) = self.account_down.transfer(t, down);
-        t = t2;
-        let (_, t2) = self.nic(actor).transfer(t, down);
-        t = t2;
+        t = self.server_tx[sidx].transfer(t, down).1;
+        t = self.account_down.transfer(t, down).1;
+        t = self.nic(actor).transfer(t, down).1;
 
-        // Stage boundaries partition [now, done] exactly: client send up to
-        // FIFO arrival, queue wait to service start, service through the
-        // quirk, replica sync, then the downlink transfer.
+        // A lost ack: the operation ran to completion above (state
+        // transition, replication, even the response transfers — the loss
+        // happens en route), but the client's wait expires instead, and
+        // no response bytes arrive. A request the state machine rejected
+        // (e.g. AlreadyExists) changed nothing, and its definite answer
+        // was lost with the ack.
+        let ok = result.is_ok();
+        let (outcome, completed, last_phase, bytes_down, result) = match ack_loss {
+            None => (
+                if ok { OpOutcome::Ok } else { OpOutcome::Error },
+                t,
+                Phase::Transfer,
+                down,
+                result,
+            ),
+            Some(elapsed) => (
+                if ok {
+                    OpOutcome::TimedOutExecuted
+                } else {
+                    OpOutcome::TimedOutLost
+                },
+                (t_front + elapsed).max(t),
+                Phase::Rejection,
+                0,
+                Err(StorageError::Timeout { elapsed }),
+            ),
+        };
+
+        // Stage boundaries partition [now, completed] exactly: client send
+        // up to FIFO arrival, queue wait to service start, service through
+        // the quirk, replica sync, then the downlink transfer (or the wait
+        // for a lost ack).
         let mut phases = PhaseBreadcrumb::new();
         phases.add(Phase::ClientSend, t_arrive.saturating_since(now));
         phases.add(Phase::QueueWait, start.saturating_since(t_arrive));
@@ -1164,45 +733,19 @@ impl Cluster {
             Phase::ReplicaSync,
             t_replica_end.saturating_since(t_service_end),
         );
-        let mut op = OpRecord {
+        phases.add(last_phase, completed.saturating_since(t_replica_end));
+        let op = OpRecord {
             issued: now,
-            completed: t,
+            completed,
             actor,
             class,
             partition: slot as u32,
-            outcome: if result.is_ok() {
-                OpOutcome::Ok
-            } else {
-                OpOutcome::Error
-            },
+            outcome,
             throttled: false,
             bytes_up: up,
-            bytes_down: down,
+            bytes_down,
             phases,
         };
-
-        // A lost ack: the operation ran to completion above (state
-        // transition, replication, even the response transfers — the loss
-        // happens en route), but the client's wait expires instead, and
-        // no response bytes arrive. A request the state machine rejected
-        // (e.g. AlreadyExists) changed nothing, and its definite answer
-        // was lost with the ack.
-        if let Some(elapsed) = ack_loss {
-            op.completed = (t_fault + elapsed).max(t);
-            op.phases.add(
-                Phase::Rejection,
-                op.completed.saturating_since(t_replica_end),
-            );
-            op.bytes_down = 0;
-            op.outcome = if result.is_ok() {
-                OpOutcome::TimedOutExecuted
-            } else {
-                OpOutcome::TimedOutLost
-            };
-            return self.finish(op, Err(StorageError::Timeout { elapsed }));
-        }
-        op.phases
-            .add(Phase::Transfer, t.saturating_since(t_replica_end));
         self.finish(op, result)
     }
 }
@@ -1705,29 +1248,93 @@ mod tests {
 
     #[test]
     fn timeline_sampling_never_changes_completion_times() {
-        // The same borderline-throttled workload, with and without the
-        // timeline: every virtual completion time must be bit-identical,
-        // because sampling reads only side-effect-free accessors.
-        let run = |resolution: Option<Duration>| {
+        // A mix of block and page blob writes and reads, queue ops and
+        // table ops that the account, queue and table buckets all throttle,
+        // with and without the timeline: every virtual completion time and
+        // result must be bit-identical, because sampling reads only
+        // side-effect-free accessors.
+        use azsim_storage::Entity;
+        let run = |sampled: bool| {
             let mut c = Cluster::new(ClusterParams {
                 throttle_burst: 3.0,
-                queue_rate: 40.0,
-                timeline_resolution: resolution,
+                queue_rate: 25.0,
+                partition_rate: 12.0,
+                account_tx_rate: 100.0,
                 ..ClusterParams::default()
             });
-            c.submit(at(0), 0, &StorageRequest::CreateQueue { queue: "q".into() })
-                .1
-                .unwrap();
+            if sampled {
+                c.enable_timeline(Duration::from_millis(50));
+            }
+            for setup in [
+                StorageRequest::CreateQueue { queue: "q".into() },
+                StorageRequest::CreateTable { table: "t".into() },
+                StorageRequest::CreateContainer {
+                    container: "c".into(),
+                },
+                StorageRequest::CreatePageBlob {
+                    container: "c".into(),
+                    blob: "p".into(),
+                    size: 1 << 20,
+                },
+            ] {
+                c.submit(at(0), 0, &setup).1.unwrap();
+            }
             let mut ends = Vec::new();
-            for i in 0..300u64 {
-                let (done, r) = c.submit(at(1 + i * 7), (i % 5) as usize, &put_msg("q", 900));
-                ends.push((done, r.is_ok()));
+            for i in 0..400u64 {
+                let page = (i % 32) * 4096;
+                let req = match i % 10 {
+                    0 => put_msg("q", 900),
+                    1 => StorageRequest::GetMessage {
+                        queue: "q".into(),
+                        visibility_timeout: Duration::from_secs(30),
+                    },
+                    2 => StorageRequest::PeekMessage { queue: "q".into() },
+                    3 => StorageRequest::PutBlock {
+                        container: "c".into(),
+                        blob: "b".into(),
+                        block_id: format!("{i:05}"),
+                        data: Bytes::from(vec![1u8; 64 * 1024]),
+                    },
+                    4 => StorageRequest::UploadBlockBlob {
+                        container: "c".into(),
+                        blob: "u".into(),
+                        data: Bytes::from(vec![2u8; 256 * 1024]),
+                    },
+                    5 => StorageRequest::DownloadBlob {
+                        container: "c".into(),
+                        blob: "u".into(),
+                    },
+                    6 => StorageRequest::PutPage {
+                        container: "c".into(),
+                        blob: "p".into(),
+                        offset: page,
+                        data: Bytes::from(vec![3u8; 4096]),
+                    },
+                    7 => StorageRequest::GetPage {
+                        container: "c".into(),
+                        blob: "p".into(),
+                        offset: page,
+                        length: 4096,
+                    },
+                    8 => StorageRequest::InsertEntity {
+                        table: "t".into(),
+                        entity: Entity::new("p", format!("r{i}")),
+                    },
+                    _ => StorageRequest::QueryPartition {
+                        table: "t".into(),
+                        partition: "p".into(),
+                    },
+                };
+                let (done, r) = c.submit(at(1 + i * 7), (i % 5) as usize, &req);
+                ends.push((done, r.map(|_| ())));
             }
             ends
         };
-        let plain = run(None);
-        let sampled = run(Some(Duration::from_millis(50)));
-        assert_eq!(plain, sampled);
+        let plain = run(false);
+        let busy = |r: &Result<(), StorageError>| matches!(r, Err(StorageError::ServerBusy { .. }));
+        assert!(plain.iter().filter(|(_, r)| busy(r)).count() > 10);
+        assert!(plain.iter().filter(|(_, r)| r.is_ok()).count() > 300);
+        assert_eq!(plain, run(true));
     }
 
     #[test]
@@ -1735,10 +1342,10 @@ mod tests {
         let mut c = Cluster::new(ClusterParams {
             throttle_burst: 2.0,
             queue_rate: 10.0,
-            timeline_resolution: Some(Duration::from_millis(20)),
             ..ClusterParams::default()
         });
-        assert!(c.timeline().is_some());
+        assert!(c.timeline().is_none(), "sampling is off by default");
+        c.enable_timeline(Duration::from_millis(20));
         c.submit(at(0), 0, &StorageRequest::CreateQueue { queue: "q".into() })
             .1
             .unwrap();
@@ -1834,95 +1441,137 @@ mod tests {
             visibility_timeout: Duration::from_secs(30),
         };
         let put = |queue| put_msg(queue, 16);
-        // (exit, fault plan, 1 msg/s bucket, probe, what the sinks saw): the
-        // `sinks` deltas, record outcome / bytes down, latency in ns and the
-        // result.
+        let put_block = StorageRequest::PutBlock {
+            container: "c".into(),
+            blob: "b".into(),
+            block_id: "0".into(),
+            data: Bytes::from(vec![7u8; 16]),
+        };
+        // The profiles each bucket site fires under; every throttled one
+        // holds one token, which the setup below spends.
+        let was = ClusterParams::default();
+        let hot_queue = ClusterParams {
+            throttle_burst: 1.0,
+            queue_rate: 1.0,
+            ..ClusterParams::default()
+        };
+        let hot_account = ClusterParams {
+            throttle_burst: 2.0,
+            account_tx_rate: 0.5,
+            ..ClusterParams::default()
+        };
+        let s3 = ClusterParams {
+            throttle_burst: 2.0,
+            ..ClusterParams::for_backend(BackendProfile {
+                account_rate_override: Some(1.0),
+                ..BackendProfile::s3()
+            })
+        };
+        let gcs = ClusterParams::for_backend(BackendProfile::gcs());
+        // (exit, fault plan, params, probe, what the sinks saw): the `sinks`
+        // deltas, record outcome / bytes down, latency in ns and the result.
         let exits = [
             (
                 "busy storm",
                 &storm,
-                false,
+                &was,
                 put("q"),
                 "[0, 1, 0, 0, 0, 0, 0, 1, 1, 0] Throttled/0 3001221 Err(ServerBusy { retry_after: 2s })",
             ),
             (
                 "blackout",
                 &blackout,
-                false,
+                &was,
                 put("q"),
                 "[0, 0, 1, 0, 0, 0, 0, 1, 0, 0] Faulted/0 3001221 Err(ServerFault { retry_after: 3599.987998779s })",
             ),
             (
                 "dropped request",
                 &drop,
-                false,
+                &was,
                 put("q"),
                 "[0, 0, 1, 0, 0, 0, 0, 1, 0, 1] TimedOutLost/0 30002001221 Err(Timeout { elapsed: 30s })",
             ),
             (
-                "bucket throttle",
+                "queue bucket throttle",
                 &none,
-                true,
+                &hot_queue,
                 put("q"),
                 "[0, 1, 0, 0, 0, 0, 1, 1, 1, 0] Throttled/0 3001221 Err(ServerBusy { retry_after: 1s })",
             ),
             (
+                "account bucket throttle",
+                &none,
+                &hot_account,
+                put("q"),
+                "[0, 1, 0, 0, 0, 0, 1, 1, 1, 0] Throttled/0 3001221 Err(ServerBusy { retry_after: 1.99s })",
+            ),
+            (
+                "s3 account SlowDown",
+                &none,
+                &s3,
+                put("q"),
+                "[0, 1, 0, 0, 0, 0, 1, 1, 1, 0] Throttled/0 3001221 Err(SlowDown { retry_after: 100ms })",
+            ),
+            (
+                "gcs per-object pushback",
+                &none,
+                &gcs,
+                put_block.clone(),
+                "[0, 1, 0, 0, 0, 0, 1, 1, 1, 0] Throttled/0 3001221 Err(ServerBusy { retry_after: 400ms })",
+            ),
+            (
                 "throttle with a lost ack",
                 &ack,
-                true,
+                &hot_queue,
                 put("q"),
                 "[0, 1, 0, 0, 0, 0, 1, 1, 1, 1] TimedOutLost/0 30002001221 Err(Timeout { elapsed: 30s })",
             ),
             (
                 "lost ack after an executed write",
                 &ack,
-                false,
+                &was,
                 put("q"),
                 "[1, 0, 0, 16, 0, 0, 0, 1, 0, 1] TimedOutExecuted/0 30002001221 Err(Timeout { elapsed: 30s })",
             ),
             (
                 "lost ack after a semantic error",
                 &ack,
-                false,
+                &was,
                 put("nope"),
                 "[0, 0, 1, 0, 0, 0, 0, 1, 0, 1] TimedOutLost/0 30002001221 Err(Timeout { elapsed: 30s })",
             ),
             (
                 "plain ok",
                 &none,
-                false,
+                &was,
                 get,
                 "[1, 0, 0, 0, 16, 1, 0, 1, 0, 0] Ok/16 19501288 Ok(())",
             ),
             (
                 "plain error",
                 &none,
-                false,
+                &was,
                 put("nope"),
                 "[0, 0, 1, 0, 0, 0, 0, 1, 0, 0] Error/0 3501288 Err(QueueNotFound(\"nope\"))",
             ),
         ];
-        for (name, plan, throttling, probe, want) in exits {
-            let mut c = Cluster::new(match throttling {
-                true => ClusterParams {
-                    throttle_burst: 1.0,
-                    queue_rate: 1.0,
-                    ..ClusterParams::default()
-                },
-                false => ClusterParams::default(),
-            });
+        for (name, plan, params, probe, want) in exits {
+            let mut c = Cluster::new(params.clone());
             c.enable_tracing(16);
             c.enable_history();
             c.enable_timeline(Duration::from_millis(1));
-            // A message for the read to find, a token spent for the throttle.
-            c.submit(
-                SimTime::ZERO,
-                0,
-                &StorageRequest::CreateQueue { queue: "q".into() },
-            )
-            .1
-            .unwrap();
-            c.submit(SimTime::ZERO, 0, &put("q")).1.unwrap();
+            // A message for the read to find, a token spent in every bucket.
+            for setup in [
+                StorageRequest::CreateQueue { queue: "q".into() },
+                StorageRequest::CreateContainer {
+                    container: "c".into(),
+                },
+                put("q"),
+                put_block.clone(),
+            ] {
+                c.submit(SimTime::ZERO, 0, &setup).1.unwrap();
+            }
             c.set_fault_plan(plan.clone());
             let before = sinks(&c, &probe);
             let (done, r) = c.submit(at(10), 1, &probe);

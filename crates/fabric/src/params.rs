@@ -121,13 +121,6 @@ pub struct ClusterParams {
     /// exactly as the committed golden CSVs pin it; the rate fields above
     /// stay authoritative unless the profile overrides or disables them.
     pub backend: BackendProfile,
-
-    // ---- telemetry ----
-    /// Virtual-time resolution of the gauge timeline, or `None` (the
-    /// default) to keep sampling off entirely. Sampling is passive — it
-    /// reads resources through side-effect-free accessors — so enabling it
-    /// changes no simulated outcome, only adds recording cost.
-    pub timeline_resolution: Option<Duration>,
 }
 
 impl Default for ClusterParams {
@@ -175,8 +168,6 @@ impl Default for ClusterParams {
             throttle_retry_hint: Duration::from_secs(1),
 
             backend: BackendProfile::was(),
-
-            timeline_resolution: None,
         }
     }
 }

@@ -86,6 +86,11 @@ fn figures_rejects_bad_input_before_doing_anything() {
             vec!["fig6", "--ladder", "quick", "--csv", csv],
             "error: unknown flag \"--ladder\"",
         ),
+        // Gauge sampling is the `timeline` target's, not a flag.
+        (
+            vec!["fig6", "--timeline", "--csv", csv],
+            "error: unknown flag \"--timeline\"",
+        ),
     ] {
         let (code, stderr) = run(FIGURES, &args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
